@@ -428,7 +428,7 @@ def _exact_trial_rejection_probability(f, family, ell: int) -> Fraction:
     """Probability over all sample tuples that the restriction's span
     contains an occurrence of some family member, by full enumeration."""
     from .field import restrict_to_affine_span
-    from .forms import grid_point_indices
+    from .forms import grid_matches, grid_point_indices
 
     params = f.params
     sub = FieldParams(params.p, ell - 1)
@@ -446,10 +446,7 @@ def _exact_trial_rejection_probability(f, family, ell: int) -> Fraction:
         pts = [index_to_vec(i, params) for i in idxs]
         g = restrict_to_affine_span(f, pts)
         for ic, grid in grids:
-            ok = g.values[grid[0]] == ic.sigma[0]
-            for arr, lab in zip(grid[1:], ic.sigma[1:]):
-                ok &= g.values[arr] == lab
-            if ok.any():
+            if grid_matches(g.values, grid, ic.sigma).any():
                 hits += 1
                 break
     return Fraction(hits, total)

@@ -10,8 +10,7 @@ Exit codes: 0 success/accept; 1 reject or falsified experiment check;
 2 budget exhausted or inconclusive; 64 usage error.
 
 The AFFINETEST_BUDGET environment variable overrides the default enumeration
-budget; --threads bounds data-parallel width inside operations and never
-affects results (Monte-Carlo streams are logical, not thread-bound).
+budget.
 """
 from __future__ import annotations
 
@@ -333,8 +332,6 @@ def cmd_fixture(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="affinetest")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="data-parallel width hint; never affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gflinalg
 from .field import BudgetError, FieldParams, FunctionTable, RealTable, unit_roots
-from .forms import AffineConstraint, CellImage, consistency_check, grid_point_indices, mixed_dimension
+from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
 from .gowers import polynomial_bias
 from .poly import Polynomial
 
@@ -321,21 +321,7 @@ def pattern_count(
         for i in reversed(range(len(b))):
             flat = flat * p + b[i] % p
         targets.append(flat)
-    count = 0
-    if total <= 1 << 22:
-        idxs = grid_point_indices(constraint, params)
-        ok = np.ones(idxs[0].shape, dtype=bool)
-        for arr, t in zip(idxs, targets):
-            ok &= cells[arr] == t
-        count = int(np.count_nonzero(ok))
-    else:
-        for x1 in range(params.size):
-            idxs = grid_point_indices(constraint, params, chunk_var=x1)
-            ok = np.ones(idxs[0].shape, dtype=bool)
-            for arr, t in zip(idxs, targets):
-                ok &= cells[arr] == t
-            count += int(np.count_nonzero(ok))
-    return count, total
+    return scan_grid(cells, constraint, params, targets), total
 
 
 def pattern_probability(
@@ -368,17 +354,6 @@ def pattern_probability(
         return 0.0
     s = mixed_dimension(constraint.forms, degrees)
     return float(Fraction(1, constraint.p**s))
-
-
-def predicted_pattern_fraction(
-    factor: PolynomialFactor, constraint: AffineConstraint, images: CellImage
-) -> Fraction:
-    """Exact rational form of the predicted probability."""
-    degrees = factor.degree_list()
-    if not consistency_check(constraint, degrees, images):
-        return Fraction(0)
-    s = mixed_dimension(constraint.forms, degrees)
-    return Fraction(1, constraint.p**s)
 
 
 # --- factor file format -----------------------------------------------------

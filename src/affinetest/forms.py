@@ -21,6 +21,7 @@ from .field import BudgetError, FieldParams, canonical_index
 
 MAX_CS_FORMS = 8
 MAX_TENSOR_ENTRIES = 1 << 22
+GRID_CHUNK = 1 << 22  # tuple grids above this size are scanned one x_1 slice at a time
 
 
 @dataclass(frozen=True)
@@ -442,3 +443,43 @@ def grid_point_indices(
             idx += (digit % p) * p**t
         out.append(idx.ravel())
     return out
+
+
+def grid_matches(
+    values: np.ndarray, grids: Sequence[np.ndarray], targets: Sequence[int]
+) -> np.ndarray:
+    """Boolean mask over a tuple grid: values[grids[j]] == targets[j] for every j."""
+    ok = values[grids[0]] == targets[0]
+    for arr, t in zip(grids[1:], targets[1:]):
+        ok &= values[arr] == t
+    return ok
+
+
+def scan_grid(
+    values: np.ndarray,
+    constraint: AffineConstraint,
+    params: FieldParams,
+    targets: Sequence[int],
+    first: bool = False,
+) -> int | None:
+    """Scan the tuple grid of `constraint` over `params` for tuples x with
+    values[a_j(x)] == targets[j] for every form a_j.
+
+    Returns the flat index of the first match in lexicographic order (x_1
+    most significant), or None, when `first`; otherwise the number of
+    matches.  Grids above GRID_CHUNK tuples are walked one x_1 slice at a
+    time to bound memory.
+    """
+    size = params.size
+    step = size ** (constraint.ell - 1)
+    slices = [None] if size * step <= GRID_CHUNK else range(size)
+    count = 0
+    for x1 in slices:
+        ok = grid_matches(values, grid_point_indices(constraint, params, chunk_var=x1), targets)
+        if first:
+            i = int(ok.argmax())
+            if ok[i]:
+                return (x1 or 0) * step + i
+        else:
+            count += int(np.count_nonzero(ok))
+    return None if first else count

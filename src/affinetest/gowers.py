@@ -292,15 +292,10 @@ def system_product_mean(
     p, n = params.p, params.n
     if any(f.p != p for f in forms):
         raise ValueError("forms and tables disagree on p")
-    if n == 0:
-        out = 1.0
-        for t in tables:
-            out *= float(t.values[0])
-        return out
     coeff = np.array([f.coeffs for f in forms], dtype=np.int64)
     basis, pivots = gflinalg.rref(coeff.T, p)  # column-space basis, rref rows
     r = basis.shape[0]
-    if r == 0:
+    if n == 0 or r == 0:
         out = 1.0
         for t in tables:
             out *= float(t.values[0])

@@ -33,8 +33,10 @@ from .forms import (
     ConstraintCollection,
     InducedConstraint,
     eval_form,
+    grid_matches,
     grid_point_indices,
     make_concise_collection,
+    scan_grid,
     tensor_row_space,
 )
 from . import gflinalg
@@ -93,16 +95,6 @@ class TestReport:
         }
 
 
-def _first_witness_index(
-    values: np.ndarray, grids: Sequence[np.ndarray], sigma: Sequence[int]
-) -> int | None:
-    ok = values[grids[0]] == sigma[0]
-    for arr, label in zip(grids[1:], sigma[1:]):
-        ok &= values[arr] == label
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else None
-
-
 def _tuple_from_flat(flat: int, ell: int, params: FieldParams) -> tuple[tuple[int, ...], ...]:
     # grids lay x_1 on the most significant axis
     size = params.size
@@ -140,19 +132,10 @@ def find_induced_occurrence(
     if mode == "exhaustive":
         if total > budget:
             raise BudgetError(f"tuple grid {total} exceeds budget {budget}")
-        if total <= 1 << 22:
-            grids = grid_point_indices(a, params)
-            flat = _first_witness_index(f.values, grids, ic.sigma)
-            if flat is None:
-                return SearchOutcome(None, True)
-            return SearchOutcome(make_witness(f, ic, _tuple_from_flat(flat, ell, params)), True)
-        for x1 in range(params.size):
-            grids = grid_point_indices(a, params, chunk_var=x1)
-            flat = _first_witness_index(f.values, grids, ic.sigma)
-            if flat is not None:
-                full = x1 * params.size ** (ell - 1) + flat
-                return SearchOutcome(make_witness(f, ic, _tuple_from_flat(full, ell, params)), True)
-        return SearchOutcome(None, True)
+        flat = scan_grid(f.values, a, params, ic.sigma, first=True)
+        if flat is None:
+            return SearchOutcome(None, True)
+        return SearchOutcome(make_witness(f, ic, _tuple_from_flat(flat, ell, params)), True)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
@@ -172,20 +155,7 @@ def violation_count(
     total = params.size**a.ell
     if total > budget:
         raise BudgetError(f"tuple grid {total} exceeds budget {budget}")
-    if total <= 1 << 22:
-        grids = grid_point_indices(a, params)
-        ok = f.values[grids[0]] == ic.sigma[0]
-        for arr, label in zip(grids[1:], ic.sigma[1:]):
-            ok &= f.values[arr] == label
-        return int(np.count_nonzero(ok)), total
-    count = 0
-    for x1 in range(params.size):
-        grids = grid_point_indices(a, params, chunk_var=x1)
-        ok = f.values[grids[0]] == ic.sigma[0]
-        for arr, label in zip(grids[1:], ic.sigma[1:]):
-            ok &= f.values[arr] == label
-        count += int(np.count_nonzero(ok))
-    return count, total
+    return scan_grid(f.values, a, params, ic.sigma), total
 
 
 def violation_density(
@@ -242,13 +212,14 @@ def affine_subspace_test(
     if ell < collection.max_ell():
         raise ValueError("ell_test below the collection's variable count")
     sub = FieldParams(params.p, ell - 1)
-    grids: list[tuple[InducedConstraint, list[np.ndarray] | None]] = []
+    # members sharing a constraint share its grid; None marks an over-budget grid
+    grids: dict[AffineConstraint, list[np.ndarray] | None] = {}
+    checks = []
     for ic in collection.members:
-        total = sub.size**ic.constraint.ell
-        if total > budget:
-            grids.append((ic, None))
-        else:
-            grids.append((ic, grid_point_indices(ic.constraint, sub)))
+        a = ic.constraint
+        if a not in grids:
+            grids[a] = grid_point_indices(a, sub) if sub.size**a.ell <= budget else None
+        checks.append((ic, grids[a]))
     rejections = 0
     inconclusive = 0
     first_witness: Witness | None = None
@@ -258,12 +229,13 @@ def affine_subspace_test(
         g = restrict_to_affine_span(f, pts)
         rejected = False
         trial_inconclusive = False
-        for ic, grid in grids:
+        for ic, grid in checks:
             if grid is None:
                 trial_inconclusive = True
                 continue
-            flat = _first_witness_index(g.values, grid, ic.sigma)
-            if flat is None:
+            ok = grid_matches(g.values, grid, ic.sigma)
+            flat = int(ok.argmax())
+            if not ok[flat]:
                 continue
             wpoints = _tuple_from_flat(flat, ic.constraint.ell, sub)
             lifted = lift_restriction_witness(pts, wpoints, params.p)

@@ -23,7 +23,7 @@ from affinetest import (
     polynomial_bias,
     represents,
 )
-from affinetest.factor import PolynomialFactor, dump_factor, parse_factor, predicted_pattern_fraction
+from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
 from affinetest.forms import mixed_dimension
 from affinetest import fixtures
 
@@ -242,7 +242,7 @@ def test_pattern_probability_examples():
     for cell in range(3):
         img = CellImage(((cell,),))
         assert pattern_count(b, a, img) == (3, 9)
-        assert predicted_pattern_fraction(b, a, img) == Fraction(1, 3)
+        assert pattern_probability(b, a, img, mode="predicted") == 1 / 3
         assert pattern_probability(b, a, img, mode="bruteforce") == 3 / 9
 
 
@@ -254,7 +254,7 @@ def test_pattern_probability_blr_exact():
     s = mixed_dimension(a.forms, (1, 1))
     assert s == 6
     assert Fraction(count, total) == Fraction(1, 2**6)
-    assert predicted_pattern_fraction(b, a, img) == Fraction(1, 2**6)
+    assert pattern_probability(b, a, img, mode="predicted") == 1 / 2**6
     bad = CellImage(((1, 0), (0, 0), (0, 0), (0, 0)))
     assert pattern_probability(b, a, bad, mode="bruteforce") == 0.0
     assert pattern_probability(b, a, bad, mode="predicted") == 0.0

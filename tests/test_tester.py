@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from affinetest import (
     super_decompose,
     violation_density,
 )
+from affinetest import forms
 from affinetest.decompose import SelectionError
-from affinetest.factor import PolynomialFactor
+from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
 from affinetest.field import index_to_vec
-from affinetest.forms import eval_form
+from affinetest.forms import CellImage, eval_form
+from affinetest.tester import violation_count
 from affinetest.poly import Polynomial
 from affinetest import fixtures
 
@@ -104,6 +107,57 @@ def test_violation_density_double_count():
     assert violation_density(f, ic) == len(brute_occurrences(f, ic)) / 2**9
 
 
+def test_chunked_grid_walk_matches_whole_grid(monkeypatch):
+    # the real threshold needs 2^22 tuples; shrinking forms.GRID_CHUNK sends
+    # small grids down the x_1-slice walk
+    cases = [
+        (fixtures.random_function(2, 3, 2, seed=s), ic)
+        for s in (3, 4)
+        for ic in fixtures.derivative_collection(2).members
+    ]
+    ap = fixtures.ap_constraint(3, 3, (1, 2, 3))
+    cases.append((fixtures.random_function(3, 2, 3, seed=1), ap))
+    factor = fixtures.random_factor(2, 3, 2, 2, seed=1)
+    forms_ = fixtures.derivative_forms(2)
+    images = [CellImage(((0, 1), (1, 1), (1, 0), (0, 0))), CellImage(((1, 0),) * 4)]
+
+    def scans():
+        out = []
+        for f, ic in cases:
+            w = find_induced_occurrence(f, ic).witness
+            out.append((w.points if w else None, violation_count(f, ic)))
+        return out + [pattern_count(factor, forms_, img) for img in images]
+
+    whole = scans()
+    chunk_vars = []
+    grid_point_indices = forms.grid_point_indices
+
+    def spy(constraint, params, chunk_var=None):
+        chunk_vars.append(chunk_var)
+        return grid_point_indices(constraint, params, chunk_var)
+
+    monkeypatch.setattr(forms, "grid_point_indices", spy)
+    monkeypatch.setattr(forms, "GRID_CHUNK", 8)
+    assert scans() == whole
+    assert chunk_vars and None not in chunk_vars
+    for (f, ic), (witness, count) in zip(cases, whole):
+        brute = brute_occurrences(f, ic)
+        assert witness == (brute[0] if brute else None)
+        assert count == (len(brute), f.params.size**ic.constraint.ell)
+    # some first witness lies past the x_1 = 0 slice, so slice offsets are exercised
+    assert any(w and any(w[0]) for w, _ in whole[: len(cases)])
+    pts = [index_to_vec(i, FieldParams(2, 3)) for i in range(8)]
+    for img, count in zip(images, whole[len(cases):]):
+        brute = sum(
+            all(
+                eval_factor(factor, eval_form(form, tup)) == b
+                for form, b in zip(forms_.forms, img.cells)
+            )
+            for tup in itertools.product(pts, repeat=3)
+        )
+        assert count == (brute, 8**3)
+
+
 def test_subspace_test_one_sided_on_free_tables():
     family = fixtures.derivative_collection(2)
     for seed in range(5):
@@ -152,6 +206,33 @@ def test_subspace_test_budget_marks_inconclusive():
     rep = affine_subspace_test(f, family, trials=20, seed=2, budget=1)
     assert rep.inconclusive_trials == 20
     assert rep.verdict == "accept"  # no verified witness, no rejection
+
+
+@pytest.mark.parametrize(
+    "p, n, seed, rejections, witness",
+    [
+        (2, 10, 1, 9, [[0, 0, 1, 0, 0, 1, 1, 1, 1, 0], [1, 0, 1, 0, 0, 0, 0, 0, 1, 1],
+                       [1, 0, 0, 1, 0, 0, 0, 0, 1, 0]]),
+        (3, 6, 2, 20, [[0, 0, 2, 2, 1, 2], [2, 2, 2, 0, 2, 0], [2, 2, 2, 0, 2, 0]]),
+        (5, 4, 3, 20, [[1, 0, 3, 4], [0, 2, 1, 0], [0, 2, 1, 0]]),
+    ],
+)
+def test_subspace_test_report_pinned(p, n, seed, rejections, witness):
+    # exact rejection counts and first witnesses; all family members share
+    # one constraint, so these also pin the member order of the grid checks
+    f = fixtures.random_function(p, n, p, seed)
+    rep = affine_subspace_test(f, fixtures.derivative_collection(p), trials=20, seed=seed)
+    rate = rejections / 20
+    assert rep.as_dict() == {
+        "verdict": "reject",
+        "trials": 20,
+        "rejections": rejections,
+        "witness": witness,
+        "seed": seed,
+        "empirical_rejection_rate": rate,
+        "stderr": math.sqrt(rate * (1 - rate) / 20),
+        "inconclusive_trials": 0,
+    }
 
 
 def test_distance_examples():
