@@ -30,7 +30,6 @@ from .factor import (
     represents,
 )
 from .gowers import (
-    DEFAULT_EXACT_BUDGET,
     CorrelationWitness,
     GowersResult,
     gowers_norm,
@@ -217,10 +216,9 @@ def _slice_gowers(
             f_slice.values - conditional_expectation(f_slice, factor).values,
         )
         resids.append(r)
-        size = f_slice.params.size
-        if size ** (k + 1) <= DEFAULT_EXACT_BUDGET:
-            norms.append(gowers_norm(r, k, mode="exact"))
-        else:
+        try:
+            norms.append(gowers_norm(r, k))
+        except BudgetError:
             norms.append(gowers_norm(r, k, mode="monte_carlo", seed=seed))
     return resids, norms
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, FunctionTable, RealTable, unit_roots
+from .field import BudgetError, FieldParams, FunctionTable, RealTable, fourier_means, unit_roots
 from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
 from .gowers import polynomial_bias
 from .poly import Polynomial
@@ -186,21 +186,27 @@ def bias_certificate(
     budget: int = DEFAULT_BIAS_BUDGET,
     seed: int = 0,
 ) -> BiasCertificate:
-    """Max bias over nonzero lambda in F_p^C; exhaustive when p^C <= budget,
-    otherwise over a seeded sample of combinations."""
+    """Max bias over nonzero lambda in F_p^C.
+
+    Exhaustive when p^C - 1 <= budget: the bias of sum lambda_i P_i is
+    |E_x e_p(lambda . B(x))|, the lambda-th Fourier coefficient of the cell
+    histogram scaled by p^C / p^n, so one bincount and one p^C-point
+    fourier_means score every lambda.  Otherwise the maximum runs over a
+    seeded sample of `budget` combinations, each scored on the whole domain.
+    """
     params = factor.params(params)
     p = params.p
     c = factor.complexity
     if c == 0:
         return BiasCertificate(0.0, 0, True)
-    values = np.stack([q.values() for q in factor.polys])
     total = p**c - 1
-    exhaustive = total <= budget
-    if exhaustive:
-        lam_ids = np.arange(1, p**c, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        lam_ids = rng.integers(1, p**c, size=budget, dtype=np.int64)
+    if total <= budget:
+        counts = np.bincount(cell_index_array(factor, params), minlength=p**c)
+        means = fourier_means(counts, FieldParams(p, c))
+        return BiasCertificate(float(np.abs(means[1:]).max()) * (p**c / params.size), total, True)
+    values = np.stack([q.values() for q in factor.polys])
+    rng = np.random.default_rng(seed)
+    lam_ids = rng.integers(1, p**c, size=budget, dtype=np.int64)
     lams = np.empty((len(lam_ids), c), dtype=np.int64)
     rem = lam_ids.copy()
     for i in range(c):
@@ -213,7 +219,7 @@ def bias_certificate(
         combo = lams[start : start + chunk] @ values % p
         sums = roots[combo].sum(axis=1)
         max_bias = max(max_bias, float(np.abs(sums).max() / params.size))
-    return BiasCertificate(max_bias, len(lam_ids), exhaustive)
+    return BiasCertificate(max_bias, len(lam_ids), False)
 
 
 def is_semantic_refinement(

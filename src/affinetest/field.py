@@ -123,6 +123,20 @@ def unit_roots(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
+def fourier_means(values, params: FieldParams) -> np.ndarray:
+    """E_x v(x) e_p(lambda . x) for every lambda in F_p^n, in canonical order.
+
+    One n-dimensional inverse FFT over the (p,)*n cube of the table.  The last
+    axis of `values` is the table; leading axes hold independent tables,
+    transformed together.
+    """
+    v = np.asarray(values)
+    if params.n == 0:
+        return v.astype(complex)
+    cube = v.reshape(v.shape[:-1] + (params.p,) * params.n)
+    return np.fft.ifftn(cube, axes=tuple(range(-params.n, 0))).reshape(v.shape)
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """Dense table of a function F_p^n -> [R]; values are 1-based labels."""

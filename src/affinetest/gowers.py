@@ -1,30 +1,29 @@
 """Gowers uniformity norms, polynomial bias and correlation, and an
 exhaustive constructive stand-in for the inverse Gowers theorem.
 
-Exact mode enumerates the full (x, y_1, ..., y_k) average; the sum is
-organized through the algebraic identity
+Exact mode reduces U^k by derivatives to U^2,
 
-    ||f||_{U^k}^{2^k} = E_{y_1..y_{k-1}} | E_x prod_{S subset [k-1]}
-                        conj^{k-1-|S|} f(x + sum_{i in S} y_i) |^2
+    ||f||_{U^k}^{2^k} = E_h ||Delta_h f||_{U^{k-1}}^{2^{k-1}},
+    Delta_h f(x) = f(x + h) conj f(x),        ||g||_{U^2}^4 = sum_lambda |g^(lambda)|^4,
 
-which regroups exactly the same finite sum (no FFT, no approximation) and
-keeps the radicand a mean of squares.  Monte-Carlo mode samples tuples from a
-fixed set of logical RNG streams so results are reproducible for a given seed
-regardless of thread count.
+with every Fourier coefficient g^(lambda) from one field.fourier_means call,
+so the radicand is a sum of non-negative terms.  Monte-Carlo mode samples
+tuples from MC_STREAMS fixed logical RNG streams, so results are
+reproducible for a given seed.
 
 The U^1 "norm" is the seminorm |E f|; it is allowed here and flagged as such
 in the documentation only.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, RealTable, domain_coords, unit_roots
+from .field import BudgetError, FieldParams, RealTable, domain_coords, fourier_means, unit_roots
 from .forms import LinearForm
 from .poly import Polynomial, monomials_up_to_degree
 
@@ -32,8 +31,7 @@ DEFAULT_EXACT_BUDGET = 1 << 26
 DEFAULT_SEARCH_BUDGET = 1 << 20
 DEFAULT_SAMPLES = 50_000
 MC_STREAMS = 16
-RADICAND_CLAMP = -1e-12
-RADICAND_FATAL = -1e-6
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,59 +59,18 @@ class CorrelationWitness:
     correlation: float
 
 
-@lru_cache(maxsize=32)
-def _add_table(params: FieldParams) -> np.ndarray:
-    """(N, N) table of canonical indices of pointwise sums; N kept small by
-    the exact-mode budget."""
-    p, size = params.p, params.size
-    coords = domain_coords(params)
-    idx = np.zeros((size, size), dtype=np.int64)
-    for t in range(params.n):
-        idx += ((coords[t][:, None] + coords[t][None, :]) % p) * p**t
-    idx.setflags(write=False)
-    return idx
-
-
 def _exact_radicand(values: np.ndarray, params: FieldParams, k: int) -> float:
-    size = params.size
-    if k == 1:
-        return abs(np.mean(values)) ** 2
-    add = _add_table(params)
-    axes = k  # x plus y_1..y_{k-1}
-    base = np.arange(size, dtype=np.int64)
-
-    def axis_view(a: int) -> np.ndarray:
-        shape = [1] * axes
-        shape[a] = size
-        return base.reshape(shape)
-
-    is_complex = np.iscomplexobj(values)
-    prod = None
-    # subsets of {y_1..y_{k-1}} by bitmask; conjugation parity = k-1-|S| mod 2
-    for mask in range(1 << (k - 1)):
-        idx = axis_view(0)
-        for i in range(k - 1):
-            if mask >> i & 1:
-                idx = add[idx, axis_view(i + 1)]
-        term = values[idx]
-        if is_complex and (k - 1 - bin(mask).count("1")) % 2:
-            term = np.conj(term)
-        prod = term if prod is None else prod * term
-    inner = prod.mean(axis=0)
-    if is_complex:
-        sq = (inner * np.conj(inner)).real
-    else:
-        sq = inner * inner
-    return float(sq.mean())
-
-
-def _finish_exact(radicand: float, k: int) -> float:
-    if radicand < RADICAND_FATAL:
-        raise RuntimeError(f"Gowers radicand {radicand} below -1e-6: accumulation bug")
-    if radicand < 0:
-        # mean-of-squares organization keeps this at roundoff scale (>= -1e-12)
-        radicand = 0.0
-    return radicand ** (1.0 / (1 << k))
+    p, n = params.p, params.n
+    if k == 1 or n == 0:
+        return abs(np.mean(values)) ** (1 << k)
+    cube = values.reshape((p,) * n)
+    axes = tuple(range(-n, 0))
+    shifts = list(itertools.product(range(p), repeat=n))
+    for _ in range(k - 2):
+        # one new leading axis per level: Delta_h g(x) = g(x - h) conj g(x) for every h
+        cube = np.stack([np.roll(cube, h, axis=axes) for h in shifts]) * np.conj(cube)
+    fourth = np.abs(fourier_means(cube.reshape(-1, params.size), params)) ** 4
+    return float(fourth.sum(axis=1).mean())
 
 
 def gowers_norm_values(
@@ -133,7 +90,7 @@ def gowers_norm_values(
             raise BudgetError(
                 f"exact U^{k} needs p^(n(k+1)) = {params.size ** (k + 1)} > budget {budget}"
             )
-        value = _finish_exact(_exact_radicand(values, params, k), k)
+        value = _exact_radicand(values, params, k) ** (1.0 / (1 << k))
         return GowersResult(value, 0.0, "exact", params.size ** (k + 1), seed)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -220,51 +177,51 @@ def inverse_gowers_search(
     """Exhaustively maximize correlation(f, P) over polynomials of degree <= d.
 
     The search covers every canonical reduced polynomial (exponents <= p-1,
-    total degree <= d); ties go to the earliest coefficient vector in
-    canonical little-endian order, so P = 0 wins among zero-correlation ties.
+    total degree <= d).  Coefficient vectors are ordered little-endian over
+    monomials_up_to_degree: the constant first, then x_n, ..., x_1, then the
+    monomials of degree >= 2.  For each coefficient vector Q of the degree >= 2
+    part, one fourier_means of f e_p(Q) scores every linear part at once; the
+    constant term never changes |corr|, so it is always 0.  Ties: among
+    candidates with correlation >= (1 - TIE_RTOL) * max, the earliest
+    coefficient vector wins, so float noise never picks among exact ties (P, -P
+    and every constant shift, for real f) and P = 0 wins among zero-correlation
+    ties.  Memory is a few dozen bytes per candidate, bounded by the budget.
     The inverse-theorem guarantee (positive U^{d+1} norm forces a positive
     maximum here) is only backed for d < p; the search itself runs for any d.
     """
-    p, n = f.params.p, f.params.n
+    params = f.params
+    p, n = params.p, params.n
     if d < 0:
         raise ValueError("d must be >= 0")
     monos = monomials_up_to_degree(p, n, d)
-    k = len(monos)
-    total = p**k
+    total = p ** len(monos)
     if total > budget:
-        raise BudgetError(f"search space p^{k} = {total} exceeds budget {budget}")
-    mono_vals = np.empty((k, f.params.size), dtype=np.int64)
-    for j, e in enumerate(monos):
-        mono_vals[j] = Polynomial.from_monomials(p, n, {e: 1}).values()
-    roots = unit_roots(p)
-    best_corr = -1.0
-    best_idx = 0
-    chunk = 4096
-    fvals = f.values
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        ids = np.arange(start, stop, dtype=np.int64)
-        coeffs = np.empty((stop - start, k), dtype=np.int64)
-        rem = ids.copy()
-        for j in range(k):
-            coeffs[:, j] = rem % p
-            rem //= p
-        pv = coeffs @ mono_vals % p
-        corr = np.abs(roots[pv] @ fvals) / f.params.size
-        local = int(np.argmax(corr))
-        if corr[local] > best_corr:
-            best_corr = float(corr[local])
-            best_idx = start + local
-    coeff_vec = []
-    rem = best_idx
-    for _ in range(k):
+        raise BudgetError(f"search space p^{len(monos)} = {total} exceeds budget {budget}")
+    higher = [e for e in monos if sum(e) >= 2]
+    mono_vals = np.array(
+        [Polynomial.from_monomials(p, n, {e: 1}).values() for e in higher], dtype=np.int64
+    ).reshape(len(higher), params.size)
+    # row q: the degree >= 2 part whose coefficients are the little-endian digits of q
+    q_vals = domain_coords(FieldParams(p, len(higher))).T @ mono_vals % p
+    scores = np.abs(fourier_means(f.values * unit_roots(p)[q_vals], params))
+    if d == 0:
+        scores = scores[:, :1]
+    else:
+        # column r: the linear part whose coefficients of x_n, ..., x_1 are the
+        # little-endian digits of r, i.e. lambda with its digits reversed
+        coords = domain_coords(params)
+        scores = scores[:, p ** np.arange(n) @ coords[::-1]]
+    # flat index q * p^n + r is the coefficient vector's index divided by p
+    flat = scores.ravel()
+    best = int(np.argmax(flat >= (1.0 - TIE_RTOL) * flat.max()))
+    rem, coeffs = best * p, {}
+    for e in monos:
         rem, c = divmod(rem, p)
-        coeff_vec.append(c)
-    poly = Polynomial.from_monomials(
-        p, n, {e: c for e, c in zip(monos, coeff_vec) if c}
-    )
+        if c:
+            coeffs[e] = c
+    poly = Polynomial.from_monomials(p, n, coeffs)
     recomputed = correlation(f, poly)
-    if abs(recomputed - best_corr) > 1e-9:
+    if abs(recomputed - flat[best]) > 1e-9:
         raise RuntimeError("witness correlation failed recomputation")
     return CorrelationWitness(poly, recomputed)
 

@@ -111,30 +111,21 @@ class Polynomial:
 
 @lru_cache(maxsize=4096)
 def _poly_values(poly: Polynomial) -> np.ndarray:
-    params = poly.params
+    params, p = poly.params, poly.p
     coords = domain_coords(params)
     acc = np.zeros(params.size, dtype=np.int64)
     for e, c in poly.terms:
         term = np.full(params.size, c, dtype=np.int64)
         for t, et in enumerate(e):
-            if et:
-                term = term * pow_mod_array(coords[t], et, poly.p)
-                term %= poly.p
+            if et == 1:
+                term = term * coords[t] % p
+            elif et:
+                powers = np.array([pow(x, et, p) for x in range(p)], dtype=np.int64)
+                term = term * powers[coords[t]] % p
         acc += term
-    acc %= poly.p
+    acc %= p
     acc.setflags(write=False)
     return acc
-
-
-def pow_mod_array(arr: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(arr)
-    base = arr % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def monomials_up_to_degree(p: int, n: int, d: int) -> list[tuple[int, ...]]:

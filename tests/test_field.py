@@ -16,6 +16,7 @@ from affinetest import (
 from affinetest.field import (
     dump_function_table,
     dump_real_table,
+    fourier_means,
     parse_function_table,
     parse_real_table,
     RealTable,
@@ -149,3 +150,17 @@ def test_tables_are_immutable():
     f = fixtures.random_function(2, 3, 2, seed=1)
     with pytest.raises(ValueError):
         f.values[0] = 2
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_fourier_means_matches_character_sums(p, n):
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    vals = rng.uniform(-1, 1, (2, params.size)) + 1j * rng.uniform(-1, 1, (2, params.size))
+    got = fourier_means(vals, params)
+    pts = [index_to_vec(i, params) for i in range(params.size)]
+    for lam_idx, lam in enumerate(pts):
+        chars = np.array([e_p(sum(a * b for a, b in zip(lam, x)) % p, p) for x in pts])
+        want = vals @ chars / params.size
+        assert np.abs(got[:, lam_idx] - want).max() < 1e-12
+        assert abs(fourier_means(vals[1], params)[lam_idx] - want[1]) < 1e-12

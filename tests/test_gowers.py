@@ -16,6 +16,8 @@ from affinetest import (
     system_product_mean,
 )
 from affinetest.field import BudgetError, index_to_vec
+from affinetest.gowers import TIE_RTOL
+from affinetest.poly import monomials_up_to_degree
 from affinetest.forms import eval_form
 from affinetest import fixtures
 
@@ -62,7 +64,11 @@ def test_u2_of_linear_character_is_one():
     assert abs(gowers_norm(RealTable(params, vals), 2).value - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize(
+    "p,n,k",
+    [(2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (2, 3, 2), (5, 1, 2), (3, 1, 4), (2, 2, 4),
+     (2, 0, 1), (3, 0, 2), (5, 0, 3)],
+)
 def test_exact_matches_reference_enumeration(p, n, k):
     t = fixtures.random_real_table(p, n, seed=p * 10 + n + k)
     got = gowers_norm(t, k).value
@@ -71,13 +77,13 @@ def test_exact_matches_reference_enumeration(p, n, k):
 
 
 def test_exact_matches_reference_for_complex_values():
-    params = FieldParams(3, 1)
     rng = np.random.default_rng(8)
-    vals = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-    for k in (1, 2, 3):
-        got = gowers_norm_values(vals, params, k).value
-        want = reference_gowers(vals, params, k)
-        assert abs(got - want) < 1e-10
+    for params in (FieldParams(3, 1), FieldParams(2, 2)):
+        vals = rng.uniform(-1, 1, params.size) + 1j * rng.uniform(-1, 1, params.size)
+        for k in (1, 2, 3, 4):
+            got = gowers_norm_values(vals, params, k).value
+            want = reference_gowers(vals, params, k)
+            assert abs(got - want) < 1e-10
 
 
 def test_monotone_ladder_on_random_tables():
@@ -181,6 +187,31 @@ def test_inverse_search_examples():
     null = RealTable(FieldParams(2, 3), np.zeros(8))
     assert gowers_norm(null, 2).value == 0.0
     assert inverse_gowers_search(null, 1).correlation == 0.0
+
+
+def coefficient_vectors(p, n, d):
+    """Every polynomial of degree <= d in canonical order: the index of a
+    coefficient vector is little-endian over monomials_up_to_degree."""
+    monos = monomials_up_to_degree(p, n, d)
+    for coeffs in itertools.product(range(p), repeat=len(monos)):
+        yield Polynomial.from_monomials(p, n, dict(zip(monos, reversed(coeffs))))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 3, 2), (3, 2, 2), (3, 3, 1), (5, 2, 1), (3, 3, 0), (3, 2, 0)])
+def test_inverse_search_tie_rule_against_brute_force(p, n, d):
+    for seed in range(3):
+        for t in (
+            fixtures.random_real_table(p, n, seed=seed),
+            fixtures.random_function(p, n, 3, seed).indicator_slice(1),
+        ):
+            corrs = [(correlation(t, q), q) for q in coefficient_vectors(p, n, d)]
+            top = max(c for c, _ in corrs)
+            earliest = next(q for c, q in corrs if c >= (1.0 - TIE_RTOL) * top)
+            w = inverse_gowers_search(t, d)
+            assert w.polynomial == earliest
+            assert abs(w.correlation - top) < 1e-12
+            if d == 0:
+                assert w.polynomial == Polynomial.zero(p, n)
 
 
 def test_inverse_search_budget():

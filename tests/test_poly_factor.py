@@ -24,6 +24,7 @@ from affinetest import (
     represents,
 )
 from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
+from affinetest.field import index_to_vec, unit_roots
 from affinetest.forms import mixed_dimension
 from affinetest import fixtures
 
@@ -69,6 +70,16 @@ def test_eval_factor_monomial_sum_oracle():
                     term *= xi**ei
                 manual += term
             assert got[qi] == manual % 3
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 4, 3), (3, 3, 4), (5, 2, 8), (7, 2, 6), (101, 1, 100)])
+def test_polynomial_values_match_pointwise_evaluation(p, n, d):
+    rng = np.random.default_rng(p + n + d)
+    params = FieldParams(p, n)
+    for _ in range(3):
+        poly = fixtures.random_polynomial(p, n, d, rng)
+        want = [poly.eval_point(index_to_vec(i, params)) for i in range(params.size)]
+        assert poly.values().tolist() == want
 
 
 def test_cell_histogram_examples():
@@ -173,10 +184,50 @@ def test_bias_certificate_recomputation_oracle():
     assert cert.max_bias == best
 
 
+def lambda_loop_max_bias(factor, lam_ids):
+    """Max |E e_p(sum lambda_i P_i)| over the given little-endian lambda
+    indices, one pass over the domain per lambda."""
+    p, c = factor.polys[0].p, factor.complexity
+    vals = np.stack([q.values() for q in factor.polys])
+    roots = unit_roots(p)
+    best = 0.0
+    for lam_id in lam_ids:
+        lam = np.array([(int(lam_id) // p**i) % p for i in range(c)], dtype=np.int64)
+        combo = lam @ vals % p
+        best = max(best, float(np.abs(roots[combo].sum()) / vals.shape[1]))
+    return best
+
+
+@pytest.mark.parametrize(
+    "p,n,c,d", [(2, 8, 5, 2), (2, 9, 7, 3), (2, 6, 1, 1), (3, 5, 4, 2), (3, 4, 3, 1), (5, 3, 3, 2)]
+)
+def test_exhaustive_bias_matches_lambda_loop(p, n, c, d):
+    for seed in range(3):
+        factor = fixtures.random_factor(p, n, c, d, seed=seed)
+        cert = bias_certificate(factor)
+        assert cert.exhaustive and cert.checked_combinations == p**c - 1
+        want = lambda_loop_max_bias(factor, range(1, p**c))
+        if p == 2:
+            assert cert.max_bias == want
+        else:
+            assert abs(cert.max_bias - want) < 1e-12
+
+
 def test_bias_certificate_sampled_mode():
     factor = fixtures.linear_factor(2, 20, 18, seed=3)
     cert = bias_certificate(factor, budget=100, seed=1)
     assert not cert.exhaustive and cert.checked_combinations == 100
+
+
+@pytest.mark.parametrize("p,n,c,budget,seed", [(2, 8, 7, 40, 2), (3, 5, 5, 30, 0)])
+def test_sampled_bias_is_max_over_its_sample(p, n, c, budget, seed):
+    factor = fixtures.random_factor(p, n, c, 2, seed=seed)
+    cert = bias_certificate(factor, budget=budget, seed=2)
+    lam_ids = np.random.default_rng(2).integers(1, p**c, size=budget, dtype=np.int64)
+    assert not cert.exhaustive and cert.checked_combinations == budget
+    assert abs(cert.max_bias - lambda_loop_max_bias(factor, lam_ids)) < 1e-12
+    # the sample misses the exhaustive maximum here, so the test tells them apart
+    assert cert.max_bias < bias_certificate(factor).max_bias - 1e-3
 
 
 def test_cell_size_band_against_exhaustive_bias():
