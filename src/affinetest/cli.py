@@ -77,6 +77,13 @@ def _default_budget() -> int:
     return int(os.environ.get("AFFINETEST_BUDGET", 1 << 24))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(args, doc: dict, text: str) -> None:
     print(text)
     if args.json:
@@ -402,13 +409,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--ell", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
 
     sp = add("distance", cmd_distance, help="exact distance to an enumerable property")
     sp.add_argument("--function", required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--tables", nargs="*", default=[])
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
 
     sp = add("experiment", cmd_experiment, help="run the acceptance suite")
     sp.add_argument("--only", nargs="*", help="criterion numbers or names")

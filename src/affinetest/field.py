@@ -214,6 +214,24 @@ def disagreement_count(f: FunctionTable, g: FunctionTable) -> tuple[int, int]:
     return int(np.count_nonzero(f.values != g.values)), f.params.size
 
 
+def affine_span_indices(points, p: int) -> np.ndarray:
+    """Canonical indices of the affine spans of many point tuples at once.
+
+    `points` has shape (trials, l, n); row c of the result (trials, p^(l-1))
+    holds the index of x_1 + sum_j c_j x_(j+1) for every c in F_p^(l-1) in
+    canonical order.  Indices accumulate one coordinate at a time, so memory
+    stays at trials * p^(l-1) entries.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    trials, ell, n = pts.shape
+    coeffs = domain_coords(FieldParams(p, ell - 1))
+    idx = np.zeros((trials, coeffs.shape[1]), dtype=np.int64)
+    for t in range(n):
+        digit = pts[:, 1:, t] @ coeffs + pts[:, :1, t]
+        idx += (digit % p) * p**t
+    return idx
+
+
 def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
     """Restrict f to the affine span of x_1, ..., x_l.
 
@@ -228,18 +246,8 @@ def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
     for q in pts:
         if len(q) != n:
             raise ValueError("point dimension mismatch")
-    ell = len(pts)
-    sub = FieldParams(p, ell - 1)
-    size = sub.size
-    # index of x_1 + sum_j c_j x_j per coordinate, vectorized over the c-grid
-    coeffs = domain_coords(sub) if ell > 1 else np.zeros((0, 1), dtype=np.int64)
-    idx = np.zeros(size, dtype=np.int64)
-    for t in range(n):
-        digit = np.full(size, pts[0][t], dtype=np.int64)
-        for j in range(1, ell):
-            digit += coeffs[j - 1] * pts[j][t]
-        idx += (digit % p) * p**t
-    return FunctionTable(sub, f.range_size, f.values[idx])
+    idx = affine_span_indices(np.array(pts, dtype=np.int64).reshape(1, len(pts), n), p)[0]
+    return FunctionTable(FieldParams(p, len(pts) - 1), f.range_size, f.values[idx])
 
 
 # --- table file formats ---------------------------------------------------

@@ -2,11 +2,15 @@
 properties, big-picture machinery, and the one-sided affine-subspace tester.
 
 The tester samples points, restricts the function to their affine span, and
-searches the restriction exhaustively.  Every rejection carries a witness
-lifted back to domain points and re-verified against f, so a function that is
-actually free can never be rejected.  Wherever a budget can bind, results are
-tri-state (True / False / None for inconclusive) and accept-side conclusions
-are only drawn from definitive results.
+searches the restriction exhaustively.  It runs its trials in blocks: one
+span-index gather restricts f for every trial of a block, each distinct
+constraint's tuple grid is gathered once per block, and a per-form lookup
+table reads every tuple's labels into the position of the first member whose
+sigma they match.  Every rejected trial's witness is lifted back to domain
+points and re-checked against f, all of a block's at once, so a function
+that is actually free can never be rejected.  Wherever a budget can bind,
+results are tri-state (True / False / None for inconclusive) and accept-side
+conclusions are only drawn from definitive results.
 """
 from __future__ import annotations
 
@@ -21,11 +25,10 @@ from .field import (
     BudgetError,
     FieldParams,
     FunctionTable,
+    affine_span_indices,
     disagreement_count,
+    domain_coords,
     index_to_vec,
-    restrict_to_affine_span,
-    vec_add,
-    vec_scale,
 )
 from .factor import PolynomialFactor, cell_index_array, cell_of_index
 from .forms import (
@@ -33,13 +36,12 @@ from .forms import (
     ConstraintCollection,
     InducedConstraint,
     eval_form,
-    grid_matches,
     grid_point_indices,
     make_concise_collection,
     scan_grid,
     tensor_row_space,
 )
-from . import gflinalg
+from . import forms, gflinalg
 from .poly import Polynomial, monomials_up_to_degree
 
 DEFAULT_TUPLE_BUDGET = 1 << 24
@@ -52,6 +54,13 @@ class Witness:
     make_witness so the evaluation is re-verified."""
 
     points: tuple[tuple[int, ...], ...]
+
+
+def _check_field(f: FunctionTable, constraint: AffineConstraint) -> None:
+    if constraint.p != f.params.p:
+        raise ValueError(
+            f"constraint over F_{constraint.p} does not apply to a table over F_{f.params.p}"
+        )
 
 
 def make_witness(f: FunctionTable, ic: InducedConstraint, points) -> Witness:
@@ -95,15 +104,11 @@ class TestReport:
         }
 
 
-def _tuple_from_flat(flat: int, ell: int, params: FieldParams) -> tuple[tuple[int, ...], ...]:
-    # grids lay x_1 on the most significant axis
-    size = params.size
-    idxs = []
-    for _ in range(ell):
-        flat, r = divmod(flat, size)
-        idxs.append(r)
-    idxs.reverse()
-    return tuple(index_to_vec(i, params) for i in idxs)
+def _grid_tuples(flats: np.ndarray, ell: int, params: FieldParams) -> np.ndarray:
+    """Points (k, l, n) of the tuples at flat grid indices `flats`; grids lay
+    x_1 on the most significant axis."""
+    place = params.size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    return np.moveaxis(domain_coords(params)[:, flats[:, None] // place % params.size], 0, -1)
 
 
 def find_induced_occurrence(
@@ -122,6 +127,7 @@ def find_induced_occurrence(
     """
     params = f.params
     a = ic.constraint
+    _check_field(f, a)
     if any(s > f.range_size for s in ic.sigma):
         raise ValueError("sigma labels exceed the table's range")
     attained = set(int(v) for v in np.unique(f.values))
@@ -135,7 +141,8 @@ def find_induced_occurrence(
         flat = scan_grid(f.values, a, params, ic.sigma, first=True)
         if flat is None:
             return SearchOutcome(None, True)
-        return SearchOutcome(make_witness(f, ic, _tuple_from_flat(flat, ell, params)), True)
+        points = _grid_tuples(np.array([flat]), ell, params)[0].tolist()
+        return SearchOutcome(make_witness(f, ic, points), True)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
@@ -152,6 +159,7 @@ def violation_count(
     """(#tuples inducing (A, sigma), #tuples), exact by enumeration."""
     params = f.params
     a = ic.constraint
+    _check_field(f, a)
     total = params.size**a.ell
     if total > budget:
         raise BudgetError(f"tuple grid {total} exceeds budget {budget}")
@@ -165,6 +173,14 @@ def violation_density(
     return c / t
 
 
+def _lift(samples: np.ndarray, witnesses: np.ndarray, p: int) -> np.ndarray:
+    """Lift restriction witnesses (k, m, l-1) through samples (k, l, n) to
+    domain points (k, m, n); see lift_restriction_witness."""
+    lifted = witnesses @ samples[:, 1:]
+    lifted[:, 0] += samples[:, 0]
+    return lifted % p
+
+
 def lift_restriction_witness(
     sample_points: Sequence, witness_points: Sequence, p: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -175,17 +191,70 @@ def lift_restriction_witness(
     part of the span map) satisfy f(a_j(y)) = g(a_j(w)) for every form,
     because every form carries coefficient 1 on X_1.
     """
-    pts = [tuple(q) for q in sample_points]
-    n = len(pts[0])
-    lifted = []
-    for widx, w in enumerate(witness_points):
-        acc = tuple(0 for _ in range(n))
-        for j, c in enumerate(w):
-            acc = vec_add(acc, vec_scale(c, pts[j + 1], p), p)
-        if widx == 0:
-            acc = vec_add(acc, pts[0], p)
-        lifted.append(acc)
-    return tuple(lifted)
+    pts = np.array([tuple(q) for q in sample_points], dtype=np.int64)
+    w = np.array([tuple(q) for q in witness_points], dtype=np.int64)
+    lifted = _lift(pts[None], w.reshape(1, len(w), len(pts) - 1), p)[0]
+    return tuple(tuple(int(v) for v in q) for q in lifted)
+
+
+class _GridCheck:
+    """One distinct constraint of a collection over the restriction domain:
+    its tuple grid (None when over budget) and a label automaton over it.
+
+    luts[j][state * (R + 1) + label] is the state after reading form j's
+    label; states number the distinct sigma prefixes read so far plus one
+    dead state, and the last table yields the collection position of the
+    first member whose whole sigma matched, or len(members).  Members whose
+    sigma uses a label above R can never match and are left out.
+    """
+
+    def __init__(self, constraint, positions, members, sub, range_size, budget):
+        self.constraint = constraint
+        self.sub = sub
+        total = sub.size**constraint.ell
+        self.grids = grid_point_indices(constraint, sub) if total <= budget else None
+        self.sigmas = np.zeros((len(members), constraint.size), dtype=np.int64)
+        for i in positions:
+            self.sigmas[i] = members[i].sigma
+        live = [i for i in positions if max(members[i].sigma) <= range_size]
+        self.base = range_size + 1
+        self.luts = []
+        states = {(): 0}
+        for j in range(constraint.size if live else 0):
+            last = j == constraint.size - 1
+            nxt: dict[tuple[int, ...], int] = {}
+            for i in live:
+                key = members[i].sigma[: j + 1]
+                nxt.setdefault(key, i if last else len(nxt))
+            lut = np.full((len(states) + 1) * self.base, len(members) if last else len(nxt))
+            for key, state in nxt.items():
+                lut[states[key[:-1]] * self.base + key[-1]] = state
+            self.luts.append(lut)
+            states = nxt
+
+    def first_members(self, values: np.ndarray) -> np.ndarray:
+        """(trials, tuples) collection position of the first member each
+        tuple of each restriction (rows of `values`) induces."""
+        state = self.luts[0][values[:, self.grids[0]]]
+        for arr, lut in zip(self.grids[1:], self.luts[1:]):
+            state *= self.base
+            state += values[:, arr]
+            state = lut[state]
+        return state
+
+    def lift(self, samples: np.ndarray, flats: np.ndarray) -> np.ndarray:
+        """Domain points (k, l_a, n) of the grid tuples `flats` found in the
+        restrictions of `samples` (k, l, n)."""
+        return _lift(samples, _grid_tuples(flats, self.constraint.ell, self.sub), self.sub.p)
+
+    def verify(self, f: FunctionTable, lifted: np.ndarray, positions: np.ndarray) -> None:
+        """Raise unless f(a_j(y)) = sigma_j for every lifted tuple y and form
+        a_j, with sigma that of the member at the matching position."""
+        p, n = f.params.p, f.params.n
+        coeffs = np.array([form.coeffs for form in self.constraint.forms], dtype=np.int64)
+        idx = (coeffs @ lifted % p) @ (p ** np.arange(n, dtype=np.int64))
+        if not np.array_equal(f.values[idx], self.sigmas[positions]):
+            raise ValueError("claimed witness does not evaluate to sigma")
 
 
 def affine_subspace_test(
@@ -199,11 +268,27 @@ def affine_subspace_test(
     """One-sided subspace tester: restrict f to random affine spans and search
     the restrictions exhaustively for induced constraints.
 
-    Rejections always carry a Witness verified against f itself.  Restriction
+    Trial t draws its l sample points from SeedSequence((seed, t)), so a
+    report does not depend on how trials are grouped.  Trials run in blocks
+    of about forms.GRID_CHUNK tuples: the block's restrictions come from one
+    affine_span_indices call, each distinct constraint's grid is gathered
+    once, and a trial rejects when some tuple matches a member's sigma.  Its
+    witness is the first matching member in collection order and that
+    member's first tuple in scan order.
+
+    Rejections always carry a Witness verified against f itself: every
+    rejected trial's witness is lifted to domain points and checked against
+    f's table (ValueError if the lift is unsound), and the reported witness,
+    that of the first rejected trial, goes through make_witness.  Restriction
     checks whose tuple grids exceed the budget make the trial inconclusive;
     such trials are counted and reported, never treated as accepts silently.
     """
     params = f.params
+    p = params.p
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    for ic in collection.members:
+        _check_field(f, ic.constraint)
     if not collection.concise:
         collection = make_concise_collection(collection)
     if len(collection) == 0:
@@ -211,43 +296,55 @@ def affine_subspace_test(
     ell = ell_test if ell_test is not None else collection.max_ell()
     if ell < collection.max_ell():
         raise ValueError("ell_test below the collection's variable count")
-    sub = FieldParams(params.p, ell - 1)
-    # members sharing a constraint share its grid; None marks an over-budget grid
-    grids: dict[AffineConstraint, list[np.ndarray] | None] = {}
-    checks = []
-    for ic in collection.members:
-        a = ic.constraint
-        if a not in grids:
-            grids[a] = grid_point_indices(a, sub) if sub.size**a.ell <= budget else None
-        checks.append((ic, grids[a]))
+    sub = FieldParams(p, ell - 1)
+    members = collection.members
+    none = len(members)
+    # members sharing a constraint share its grid and automaton
+    positions: dict[AffineConstraint, list[int]] = {}
+    for i, ic in enumerate(members):
+        positions.setdefault(ic.constraint, []).append(i)
+    checks = [
+        _GridCheck(a, pos, members, sub, f.range_size, budget) for a, pos in positions.items()
+    ]
+    over_budget = any(c.grids is None for c in checks)
+    checks = [c for c in checks if c.grids is not None and c.luts]
+    widest = max((sub.size**c.constraint.ell for c in checks), default=1)
+    block = max(1, forms.GRID_CHUNK // widest)
+    place = p ** np.arange(params.n, dtype=np.int64)
     rejections = 0
     inconclusive = 0
     first_witness: Witness | None = None
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
-        pts = [index_to_vec(int(i), params) for i in rng.integers(0, params.size, size=ell)]
-        g = restrict_to_affine_span(f, pts)
-        rejected = False
-        trial_inconclusive = False
-        for ic, grid in checks:
-            if grid is None:
-                trial_inconclusive = True
+    for start in range(0, trials, block):
+        draws = np.array([
+            np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
+            .integers(0, params.size, size=ell)
+            for t in range(start, min(trials, start + block))
+        ])
+        samples = draws[:, :, None] // place % p
+        values = f.values[affine_span_indices(samples, p)]
+        # per trial: first matching member, its first tuple and its check
+        member = np.full(len(draws), none)
+        flat = np.zeros(len(draws), dtype=np.int64)
+        owner = np.zeros(len(draws), dtype=np.int64)
+        for ci, c in enumerate(checks):
+            found = c.first_members(values)
+            best = found.min(axis=1)
+            better = best < member
+            member[better] = best[better]
+            flat[better] = (found[better] == best[better, None]).argmax(axis=1)
+            owner[better] = ci
+        hits = np.flatnonzero(member < none)
+        for ci, c in enumerate(checks):
+            sel = hits[owner[hits] == ci]
+            if not sel.size:
                 continue
-            ok = grid_matches(g.values, grid, ic.sigma)
-            flat = int(ok.argmax())
-            if not ok[flat]:
-                continue
-            wpoints = _tuple_from_flat(flat, ic.constraint.ell, sub)
-            lifted = lift_restriction_witness(pts, wpoints, params.p)
-            witness = make_witness(f, ic, lifted)  # raises if the lift is unsound
-            if first_witness is None:
-                first_witness = witness
-            rejected = True
-            break
-        if rejected:
-            rejections += 1
-        elif trial_inconclusive:
-            inconclusive += 1
+            lifted = c.lift(samples[sel], flat[sel])
+            c.verify(f, lifted, member[sel])
+            if first_witness is None and sel[0] == hits[0]:
+                first_witness = make_witness(f, members[member[sel[0]]], lifted[0].tolist())
+        rejections += hits.size
+        if over_budget:
+            inconclusive += len(draws) - hits.size
     rate = rejections / trials if trials else 0.0
     stderr = math.sqrt(rate * (1 - rate) / trials) if trials else 0.0
     verdict = "reject" if rejections else "accept"

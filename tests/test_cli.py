@@ -167,3 +167,37 @@ def test_experiment_single_criterion(capsys):
     assert main(["experiment", "--only", "5"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] criterion 5" in out
+
+
+@pytest.mark.parametrize("table_p, family_p", [(3, 2), (2, 3)])
+def test_test_field_mismatch_is_usage_error(tmp_path, capsys, table_p, family_p):
+    # a collection over one field never silently tests a table over another
+    family = tmp_path / "family.col"
+    assert main(["fixture", "blr_constraint", "--p", str(family_p), "--out", str(family)]) == 0
+    func = tmp_path / "free.tab"
+    assert main(["fixture", "degree_d_table", "--p", str(table_p), "--n", "3",
+                 "--degree", "1", "--seed", "1", "--out", str(func)]) == 0
+    capsys.readouterr()
+    code = main(["test", "--constraints", str(family), "--function", str(func),
+                 "--trials", "20", "--seed", "1"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f"F_{family_p}" in err and f"F_{table_p}" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "-3"],
+    ["--budget", "0"],
+    ["--budget", "-5"],
+])
+def test_test_rejects_invalid_arguments(blr_file, free_table, extra):
+    argv = ["test", "--constraints", str(blr_file), "--function", str(free_table),
+            "--trials", "10", "--seed", "1"]
+    assert main(argv + extra) == 64
+
+
+def test_distance_rejects_nonpositive_budget(free_table):
+    for budget in ("0", "-1"):
+        argv = ["distance", "--function", str(free_table), "--max-degree", "1",
+                "--budget", budget]
+        assert main(argv) == 64

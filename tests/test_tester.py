@@ -1,8 +1,10 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -26,11 +28,17 @@ from affinetest import (
     super_decompose,
     violation_density,
 )
-from affinetest import forms
+from affinetest import forms, tester
 from affinetest.decompose import SelectionError
 from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
-from affinetest.field import index_to_vec
-from affinetest.forms import CellImage, eval_form
+from affinetest.field import index_to_vec, vec_add, vec_scale
+from affinetest.forms import (
+    CellImage,
+    eval_form,
+    grid_matches,
+    grid_point_indices,
+    make_concise_collection,
+)
 from affinetest.tester import violation_count
 from affinetest.poly import Polynomial
 from affinetest import fixtures
@@ -233,6 +241,199 @@ def test_subspace_test_report_pinned(p, n, seed, rejections, witness):
         "stderr": math.sqrt(rate * (1 - rate) / 20),
         "inconclusive_trials": 0,
     }
+
+
+def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, budget=1 << 24):
+    """The tester as one Python loop per trial and per member, restricting
+    and lifting by plain vector arithmetic: the oracle for the batched
+    affine_subspace_test."""
+    params = f.params
+    p = params.p
+    if not collection.concise:
+        collection = make_concise_collection(collection)
+    if len(collection) == 0:
+        return tester.TestReport("accept", trials, 0, None, seed, 0.0, 0.0, 0)
+    ell = ell_test if ell_test is not None else collection.max_ell()
+    sub = FieldParams(p, ell - 1)
+    grids = {}
+    for ic in collection.members:
+        a = ic.constraint
+        if a not in grids:
+            grids[a] = grid_point_indices(a, sub) if sub.size**a.ell <= budget else None
+
+    def span_point(pts, c):
+        acc = pts[0]
+        for cj, x in zip(c, pts[1:]):
+            acc = vec_add(acc, vec_scale(cj, x, p), p)
+        return acc
+
+    rejections = inconclusive = 0
+    first_witness = None
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
+        pts = [index_to_vec(int(i), params) for i in rng.integers(0, params.size, size=ell)]
+        g = np.array([f(span_point(pts, index_to_vec(i, sub))) for i in range(sub.size)])
+        rejected = trial_inconclusive = False
+        for ic in collection.members:
+            grid = grids[ic.constraint]
+            if grid is None:
+                trial_inconclusive = True
+                continue
+            ok = grid_matches(g, grid, ic.sigma)
+            flat = int(ok.argmax())
+            if not ok[flat]:
+                continue
+            wpoints = []
+            for _ in range(ic.constraint.ell):
+                flat, r = divmod(flat, sub.size)
+                wpoints.append(index_to_vec(r, sub))
+            lifted = [span_point([(0,) * params.n] + pts[1:], w) for w in reversed(wpoints)]
+            lifted[0] = vec_add(lifted[0], pts[0], p)
+            witness = make_witness(f, ic, lifted)
+            first_witness = first_witness or witness
+            rejected = True
+            break
+        rejections += rejected
+        inconclusive += trial_inconclusive and not rejected
+    rate = rejections / trials if trials else 0.0
+    stderr = math.sqrt(rate * (1 - rate) / trials) if trials else 0.0
+    verdict = "reject" if rejections else "accept"
+    return tester.TestReport(
+        verdict, trials, rejections, first_witness, seed, rate, stderr, inconclusive
+    )
+
+
+def _mixed_collection(p):
+    # derivative members around AP members of 2 and 3 terms, which have
+    # fewer variables and forms and so their own grids
+    deriv = fixtures.derivative_collection(p).members
+    aps = [
+        fixtures.ap_constraint(p, k, tuple((s + j * step) % p + 1 for j in range(k)))
+        for k in (2, 3)
+        if k <= p
+        for s in range(p)
+        for step in (0, 1)
+    ]
+    return ConstraintCollection(deriv[:3] + tuple(aps) + deriv[3:])
+
+
+def _high_label_collection(p):
+    # the first member needs label p + 1 > R, so it can never match; a label
+    # code in base R would read its sigma as (1, 2, 1, 1), a later member's
+    high = InducedConstraint(fixtures.derivative_forms(p), (p + 1, 1, 1, 1))
+    return ConstraintCollection((high,) + fixtures.derivative_collection(p).members)
+
+
+def _oracle_cases():
+    for p, n in ((2, 5), (3, 3), (5, 2)):
+        tables = {
+            "far": fixtures.random_function(p, n, p, seed=p),
+            "free": fixtures.degree_d_table(p, n, 1, seed=p),
+        }
+        for tname, f in tables.items():
+            for cname, col in (
+                ("deriv", fixtures.derivative_collection(p)),
+                ("mixed", _mixed_collection(p)),
+                ("high", _high_label_collection(p)),
+            ):
+                if tname == "free" and cname == "deriv":
+                    continue  # "high" holds the same members behind one more
+                for ell in (None, 4) if p < 5 else (None,):
+                    yield f"p{p}-{tname}-{cname}-ell{ell}", f, col, ell
+    # over budget at p = 3, l = 3: 100 cuts the derivative grid (729 tuples)
+    # but keeps the AP grid (81), so trials the AP member misses on a
+    # degree-1 table are inconclusive; 80 cuts both
+    deriv = fixtures.derivative_collection(3).members
+    col = ConstraintCollection(deriv[:3] + (fixtures.ap_constraint(3, 3, (1, 2, 3)),) + deriv[3:])
+    yield "p3-budget-100", fixtures.degree_d_table(3, 3, 1, seed=4), col, 100
+    yield "p3-budget-80", fixtures.random_function(3, 3, 3, seed=4), col, 80
+
+
+@pytest.mark.parametrize("chunk", [forms.GRID_CHUNK, 200])
+def test_batched_subspace_test_matches_reference_loop(monkeypatch, chunk):
+    # chunk = 200 puts 3 trials in a block at p = 2 and 1 at p = 3, 5, so
+    # reports must come out the same across block boundaries
+    monkeypatch.setattr(forms, "GRID_CHUNK", chunk)
+    seen = {"rejections": 0, "inconclusive": 0, "accept": 0, "late_witness": 0}
+    for name, f, col, extra in _oracle_cases():
+        budget = extra if name.startswith("p3-budget") else 1 << 24
+        ell = None if name.startswith("p3-budget") else extra
+        trials = 8 if f.params.p == 5 else 24
+        for seed, t in ((0, trials), (1, trials), (2, 0)):
+            got = affine_subspace_test(f, col, ell_test=ell, trials=t, seed=seed, budget=budget)
+            want = reference_subspace_test(f, col, ell_test=ell, trials=t, seed=seed, budget=budget)
+            assert got.as_dict() == want.as_dict(), (name, seed, t)
+            seen["rejections"] += got.rejections > 0
+            seen["inconclusive"] += got.inconclusive_trials > 0
+            seen["accept"] += got.verdict == "accept" and t > 0
+            seen["late_witness"] += got.rejections > 0 and got.rejections < t
+    assert all(seen.values()), seen
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_batched_subspace_test_property(data):
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    n = data.draw(st.integers(1, 3), label="n")
+    r = data.draw(st.integers(1, 3), label="R")
+    labels = data.draw(st.lists(st.integers(1, r), min_size=p**n, max_size=p**n), label="table")
+    f = FunctionTable(FieldParams(p, n), r, np.array(labels))
+    members = []
+    for _ in range(data.draw(st.integers(1, 3), label="members")):
+        ell = data.draw(st.integers(1, 3))
+        rows = [(1,) + (0,) * (ell - 1)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows.append((1,) + tuple(data.draw(st.integers(0, p - 1)) for _ in range(ell - 1)))
+        sigma = tuple(data.draw(st.integers(1, r + 1)) for _ in rows)
+        members.append(InducedConstraint(AffineConstraint.from_rows(p, rows), sigma))
+    col = ConstraintCollection(tuple(members))
+    ell_test = data.draw(st.sampled_from([None, 3, 4]), label="ell_test")
+    trials = data.draw(st.integers(0, 12), label="trials")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    budget = data.draw(st.sampled_from([1 << 24, 30, 1]), label="budget")
+    chunk = data.draw(st.sampled_from([forms.GRID_CHUNK, 1, 40]), label="chunk")
+    with mock.patch.object(forms, "GRID_CHUNK", chunk):
+        got = affine_subspace_test(f, col, ell_test, trials, seed, budget)
+    want = reference_subspace_test(f, col, ell_test, trials, seed, budget)
+    assert got.as_dict() == want.as_dict()
+
+
+def test_corrupted_lift_raises(monkeypatch):
+    f = fixtures.random_function(2, 4, 2, seed=5)
+    family = fixtures.derivative_collection(2)
+    assert affine_subspace_test(f, family, trials=50, seed=2).rejections > 1
+    lift = tester._lift
+
+    def corrupted(samples, witnesses, p):
+        # move the first point of every rejected trial but the first one a
+        # block reports, so only the block-wide check can catch it
+        out = lift(samples, witnesses, p)
+        out[1:, 0, 0] = (out[1:, 0, 0] + 1) % p
+        return out
+
+    monkeypatch.setattr(tester, "_lift", corrupted)
+    with pytest.raises(ValueError, match="does not evaluate to sigma"):
+        affine_subspace_test(f, family, trials=50, seed=2)
+
+
+def test_field_mismatch_raises():
+    for tp, cp in ((3, 2), (2, 3)):
+        f = fixtures.degree_d_table(tp, 3, 1, seed=1)
+        family = fixtures.derivative_collection(cp)
+        ic = family.members[0]
+        for call in (
+            lambda: affine_subspace_test(f, family, trials=5),
+            lambda: find_induced_occurrence(f, ic),
+            lambda: violation_count(f, ic),
+        ):
+            with pytest.raises(ValueError, match=f"F_{cp} .* F_{tp}"):
+                call()
+
+
+def test_negative_trials_raise():
+    f = fixtures.random_function(2, 3, 2, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        affine_subspace_test(f, fixtures.derivative_collection(2), trials=-3)
 
 
 def test_distance_examples():
