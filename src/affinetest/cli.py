@@ -15,6 +15,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,6 +338,7 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it takes milliseconds
 def build_parser() -> _Parser:
     parser = _Parser(prog="affinetest")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -439,9 +441,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -3,8 +3,9 @@ subcell selection, and the cleanup relabeling.
 
 The quantitative tower functions of the underlying theory are replaced by
 explicit budgets (max factor size, max iterations, search budget); every
-claimed bound is certified post hoc by recomputing the norm it asserts, and
-results whose budgets ran out are returned flagged rather than trusted.
+claimed bound is certified post hoc by recomputing the norm it asserts (a
+Monte-Carlo norm only with MC_CERT_Z standard errors of margin), and results
+whose budgets ran out are returned flagged rather than trusted.
 Refinements are kept syntactic throughout: polynomials are only appended, so
 every produced factor extends its base by construction.  At degree 1 the
 appended polynomials are kept affinely independent, which is exact full rank;
@@ -37,6 +38,7 @@ from .gowers import (
 )
 
 CORRELATION_FLOOR = 1e-12
+MC_CERT_Z = 3.0
 
 Schedule = Callable[[int], float]
 
@@ -223,6 +225,13 @@ def _slice_gowers(
     return resids, norms
 
 
+def _within(g: GowersResult, bound: float) -> bool:
+    """A norm certified at most bound: an exact norm by its value, a
+    Monte-Carlo estimate only MC_CERT_Z standard errors below it, so an
+    estimate with stderr inf never certifies."""
+    return g.value + MC_CERT_Z * g.stderr <= bound
+
+
 def _gowers_certified(
     fs: Sequence[RealTable],
     factor: PolynomialFactor,
@@ -237,15 +246,15 @@ def _gowers_certified(
     for _ in range(cfg.max_iterations * max(len(fs), 1)):
         _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
         bound = eta_fn(cur.complexity)
-        if all(g.value <= bound for g in norms):
+        if all(_within(g, bound) for g in norms):
             return cur, norms, True
         if cur.complexity >= cfg.max_factor_size:
             break
         order = sorted(range(len(fs)), key=lambda i: -norms[i].value)
         stepped = False
         for i in order:
-            if norms[i].value <= bound:
-                break
+            if _within(norms[i], bound):
+                continue
             cand = refine_step(fs[i], cur, d, cfg.search_budget)
             if cand is not None:
                 if trace is not None:
@@ -259,7 +268,7 @@ def _gowers_certified(
         if not stepped:
             break
     _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
-    certified = all(g.value <= eta_fn(cur.complexity) for g in norms)
+    certified = all(_within(g, eta_fn(cur.complexity)) for g in norms)
     if trace is not None and not certified:
         trace.append({"event": "gowers_budget_exhausted", "size": cur.complexity})
     return cur, norms, certified

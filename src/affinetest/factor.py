@@ -192,7 +192,8 @@ def bias_certificate(
     |E_x e_p(lambda . B(x))|, the lambda-th Fourier coefficient of the cell
     histogram scaled by p^C / p^n, so one bincount and one p^C-point
     fourier_means score every lambda.  Otherwise the maximum runs over a
-    seeded sample of `budget` combinations, each scored on the whole domain.
+    seeded sample of `budget` combinations, each scored on the nonempty cells
+    weighted by their point counts.
     """
     params = factor.params(params)
     p = params.p
@@ -204,20 +205,24 @@ def bias_certificate(
         counts = np.bincount(cell_index_array(factor, params), minlength=p**c)
         means = fourier_means(counts, FieldParams(p, c))
         return BiasCertificate(float(np.abs(means[1:]).max()) * (p**c / params.size), total, True)
-    values = np.stack([q.values() for q in factor.polys])
+    # nonempty cells only: p^C, past the exhaustive budget, can outgrow the domain
+    cells, weights = np.unique(cell_index_array(factor, params), return_counts=True)
+    # float64 so that the products below run in BLAS; every sum is an exact integer
+    digits = (cells // p ** np.arange(c, dtype=np.int64)[:, None] % p).astype(np.float64)
     rng = np.random.default_rng(seed)
     lam_ids = rng.integers(1, p**c, size=budget, dtype=np.int64)
-    lams = np.empty((len(lam_ids), c), dtype=np.int64)
+    lams = np.empty((len(lam_ids), c), dtype=np.float64)
     rem = lam_ids.copy()
     for i in range(c):
         lams[:, i] = rem % p
         rem //= p
     max_bias = 0.0
     roots = unit_roots(p)
-    chunk = max(1, (1 << 22) // params.size)
+    weights = weights.astype(np.float64)
+    chunk = max(1, (1 << 22) // len(cells))
     for start in range(0, len(lams), chunk):
-        combo = lams[start : start + chunk] @ values % p
-        sums = roots[combo].sum(axis=1)
+        combo = (lams[start : start + chunk] @ digits).astype(np.int64) % p
+        sums = roots[combo] @ weights
         max_bias = max(max_bias, float(np.abs(sums).max() / params.size))
     return BiasCertificate(max_bias, len(lam_ids), False)
 

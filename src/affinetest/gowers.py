@@ -7,7 +7,14 @@ Exact mode reduces U^k by derivatives to U^2,
     Delta_h f(x) = f(x + h) conj f(x),        ||g||_{U^2}^4 = sum_lambda |g^(lambda)|^4,
 
 with every Fourier coefficient g^(lambda) from one field.fourier_means call,
-so the radicand is a sum of non-negative terms.  Monte-Carlo mode samples
+so the radicand is a sum of non-negative terms.  Exact mode is charged
+against its budget by exact_charge: U^1 and U^2 the p^n entries handed to
+that transform times its one pass per coordinate, max(n, 1) * p^n; U^k for
+k >= 3 the p^(n(k+1)) tuples it averages over, because it holds its whole
+p^(n(k-1))-entry derivative stack at once (p^n derivative tables per level
+above U^2), so a charge by the transform's work would bound its time but
+not its memory.  No charge exceeds the p^(n(k+1)) tuples, so any call whose
+tuple space fits the budget is exact.  Monte-Carlo mode samples
 tuples from MC_STREAMS fixed logical RNG streams, so results are
 reproducible for a given seed.
 
@@ -73,6 +80,15 @@ def _exact_radicand(values: np.ndarray, params: FieldParams, k: int) -> float:
     return float(fourth.sum(axis=1).mean())
 
 
+def exact_charge(params: FieldParams, k: int) -> int:
+    """Cost charged to exact U^k against its budget: for k <= 2 the p^n
+    entries handed to fourier_means times one pass per coordinate, for
+    k >= 3 the p^(n(k+1)) tuples (see the module docstring)."""
+    if k <= 2:
+        return max(params.n, 1) * params.size
+    return params.size ** (k + 1)
+
+
 def gowers_norm_values(
     values: np.ndarray,
     params: FieldParams,
@@ -82,14 +98,20 @@ def gowers_norm_values(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> GowersResult:
-    """Gowers U^k norm of a table of values (real or complex) on F_p^n."""
+    """Gowers U^k norm of a table of values (real or complex) on F_p^n.
+
+    Exact mode raises BudgetError when exact_charge(params, k) exceeds
+    budget.  That charge is at most the p^(n(k+1)) tuples the norm averages
+    over (for k <= 2, n <= p^n), so every table whose whole tuple space fits
+    the budget is exact.  An exact result still reports samples =
+    p^(n(k+1)), the number of tuples averaged.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode == "exact":
-        if params.size ** (k + 1) > budget:
-            raise BudgetError(
-                f"exact U^{k} needs p^(n(k+1)) = {params.size ** (k + 1)} > budget {budget}"
-            )
+        charge = exact_charge(params, k)
+        if charge > budget:
+            raise BudgetError(f"exact U^{k} is charged {charge} > budget {budget}")
         value = _exact_radicand(values, params, k) ** (1.0 / (1 << k))
         return GowersResult(value, 0.0, "exact", params.size ** (k + 1), seed)
     if mode != "monte_carlo":

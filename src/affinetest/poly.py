@@ -112,9 +112,20 @@ class Polynomial:
 @lru_cache(maxsize=4096)
 def _poly_values(poly: Polynomial) -> np.ndarray:
     params, p = poly.params, poly.p
-    coords = domain_coords(params)
-    acc = np.zeros(params.size, dtype=np.int64)
+    # the degree <= 1 part as an outer sum, coordinate t + 1 at place value
+    # p^t, up to the last coordinate it depends on, then repeated over the
+    # rest of the domain; then one pass per higher term
+    linear = poly.linear_part()
+    top = max((t + 1 for t, c in enumerate(linear) if c), default=0)
+    acc = np.array([poly.constant_part()], dtype=np.int64)
+    digits = np.arange(p, dtype=np.int64)[:, None]
+    for c in linear[:top]:
+        acc = (acc + c * digits).ravel()
+    acc = np.tile(acc, p ** (params.n - top))
     for e, c in poly.terms:
+        if sum(e) <= 1:
+            continue
+        coords = domain_coords(params)
         term = np.full(params.size, c, dtype=np.int64)
         for t, et in enumerate(e):
             if et == 1:

@@ -77,6 +77,17 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 64
 
 
+def test_usage_error_then_valid_call(blr_file, capsys):
+    # main parses with one parser per process; a failed parse must not leave
+    # state behind for the next call
+    assert main(["complexity", "--constraints", str(blr_file)]) == 0
+    first = capsys.readouterr().out
+    assert main(["complexity", "--constraints", str(blr_file), "--bogus"]) == 64
+    assert main(["complexity"]) == 64
+    assert main(["complexity", "--constraints", str(blr_file)]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_reports_byte_identical(blr_file, free_table, tmp_path, capsys):
     reports = []
     outs = []

@@ -20,7 +20,9 @@ from affinetest import (
     subcell_conditions,
     super_decompose,
 )
+from affinetest import decompose
 from affinetest.decompose import DecompositionResult, load_result, save_result
+from affinetest.field import BudgetError
 from affinetest.factor import PolynomialFactor, bias_certificate
 from affinetest.gowers import gowers_norm
 from affinetest import fixtures
@@ -180,6 +182,49 @@ def test_super_decompose_layered_contract():
         assert np.max(np.abs(total - fs[i].values)) <= 1e-9
         ce = conditional_expectation(fs[i], res.factor_fine)
         assert np.max(np.abs(res.f1[i].values - ce.values)) <= 1e-9
+
+
+def _flipped(f, seed, fraction):
+    rng = np.random.default_rng(seed)
+    flips = rng.choice(f.params.size, size=round(fraction * f.params.size), replace=False)
+    labels = np.array(f.values)
+    labels[flips] = 3 - labels[flips]
+    return f.with_values(labels)
+
+
+@pytest.mark.parametrize("case", ["layered-2", "layered-3", "random"])
+def test_monte_carlo_certificates_carry_their_margin(monkeypatch, case):
+    # inputs on which a bare Monte-Carlo point estimate once certified a
+    # residual whose exact U^2 is above eta: the first two estimates read
+    # 0.0738 +- 0.013 and 0.0524 +- 0.044 for exact norms 0.0777 and 0.0799,
+    # the third read 0 with stderr inf for an exact norm of 0.1405
+    # the random input stays uncertified (estimate 0.1095 +- 0.0099); with the
+    # margin the layered ones refine further and certify honestly
+    if case == "random":
+        f, eta, decompose_fn = fixtures.random_function(2, 9, 2, 0), 0.04, strong_decompose
+        expect_certified = False
+    else:
+        seed = int(case[-1])
+        f = _flipped(fixtures.layered_table(2, 9, seed, quarter=True), seed, 0.05)
+        eta, decompose_fn = 0.075, super_decompose
+        expect_certified = True
+
+    def monte_carlo_only(r, k, mode="exact", **kwargs):
+        if mode == "exact":
+            raise BudgetError("exact mode switched off")
+        return gowers_norm(r, k, mode=mode, **kwargs)
+
+    monkeypatch.setattr(decompose, "gowers_norm", monte_carlo_only)
+    cfg = DecompositionConfig(degree=1, delta=0.25, eta=eta, zeta=0.15,
+                              max_factor_size=8, max_iterations=30, seed=0)
+    res = decompose_fn(f, cfg)
+    certs = res.certificates
+    assert all(g.mode == "monte_carlo" for g in certs.gowers)
+    assert res.certified is expect_certified
+    if expect_certified:
+        assert all(g.value + 3 * g.stderr <= certs.gowers_bound
+                   for g in certs.gowers)
+        assert all(gowers_norm(t, 2).value <= certs.gowers_bound for t in res.f2)
 
 
 def _degenerate_result(f):

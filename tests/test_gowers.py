@@ -16,7 +16,7 @@ from affinetest import (
     system_product_mean,
 )
 from affinetest.field import BudgetError, index_to_vec
-from affinetest.gowers import TIE_RTOL
+from affinetest.gowers import DEFAULT_EXACT_BUDGET, TIE_RTOL, exact_charge
 from affinetest.poly import monomials_up_to_degree
 from affinetest.forms import eval_form
 from affinetest import fixtures
@@ -110,6 +110,38 @@ def test_exact_budget_error():
     t = fixtures.random_real_table(2, 5, seed=1)
     with pytest.raises(BudgetError):
         gowers_norm(t, 3, budget=1 << 10)
+
+
+@pytest.mark.parametrize("p,n,k", [
+    (2, 0, 2), (2, 3, 1), (2, 4, 2), (3, 2, 2), (2, 3, 3), (5, 1, 3), (3, 2, 4), (7, 1, 1),
+])
+def test_exact_budget_boundary(p, n, k):
+    params = FieldParams(p, n)
+    charge = exact_charge(params, k)
+    assert charge == (max(n, 1) * p**n if k <= 2 else p ** (n * (k + 1)))
+    vals = fixtures.random_real_table(p, n, seed=p + n + k).values
+    res = gowers_norm_values(vals, params, k, budget=charge)
+    assert res.mode == "exact" and res.samples == params.size ** (k + 1)
+    assert res == gowers_norm_values(vals, params, k)
+    with pytest.raises(BudgetError):
+        gowers_norm_values(vals, params, k, budget=charge - 1)
+
+
+def test_exact_charge_keeps_every_exact_call_exact():
+    # every (p, n, k) whose p^(n(k+1)) tuples fit a budget is charged no more
+    inside = 0
+    for p in (2, 3, 5, 7, 11, 13, 8191):
+        for n in range(0, 27):
+            if p**n > DEFAULT_EXACT_BUDGET:
+                break
+            for k in range(1, 30):
+                tuples = p ** (n * (k + 1))
+                charge = exact_charge(FieldParams(p, n), k)
+                assert charge <= tuples
+                if tuples <= DEFAULT_EXACT_BUDGET:
+                    inside += 1
+                    assert charge <= DEFAULT_EXACT_BUDGET
+    assert inside > 100
 
 
 def test_monte_carlo_calibration():

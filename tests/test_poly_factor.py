@@ -72,7 +72,9 @@ def test_eval_factor_monomial_sum_oracle():
             assert got[qi] == manual % 3
 
 
-@pytest.mark.parametrize("p,n,d", [(2, 4, 3), (3, 3, 4), (5, 2, 8), (7, 2, 6), (101, 1, 100)])
+@pytest.mark.parametrize("p,n,d", [
+    (2, 4, 3), (3, 3, 4), (5, 2, 8), (7, 2, 6), (101, 1, 100), (2, 6, 1), (3, 4, 1), (5, 3, 0),
+])
 def test_polynomial_values_match_pointwise_evaluation(p, n, d):
     rng = np.random.default_rng(p + n + d)
     params = FieldParams(p, n)
