@@ -50,6 +50,7 @@ from .field import (
 )
 from .forms import (
     CellImage,
+    InducedConstraint,
     consistency_check,
     cs_complexity,
     dimension_d,
@@ -95,6 +96,13 @@ def _load_constraints(path):
     return parse_collection(Path(path).read_text())
 
 
+def _first_constraint(path) -> InducedConstraint:
+    col, _ = _load_constraints(path)
+    if not col.members:
+        raise ValueError(f"{path} holds no constraint")
+    return col.members[0]
+
+
 def cmd_complexity(args) -> int:
     col, _ = _load_constraints(args.constraints)
     rows = []
@@ -125,8 +133,7 @@ def cmd_gowers(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    col, _ = _load_constraints(args.constraints)
-    ic = col.members[0]
+    ic = _first_constraint(args.constraints)
     if len(args.degrees) == 1:
         val = dimension_d(ic.constraint.forms, args.degrees[0])
     else:
@@ -137,8 +144,7 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    col, _ = _load_constraints(args.constraints)
-    ic = col.members[0]
+    ic = _first_constraint(args.constraints)
     factor, _ = load_factor(args.factor)
     cells = tuple(
         tuple(int(t) for t in chunk.split()) for chunk in args.images.split(",")

@@ -10,14 +10,13 @@ the consistency predicate for tuples of cell images.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, canonical_index
+from .field import BudgetError, FieldParams, canonical_index, domain_coords, is_prime
 
 MAX_CS_FORMS = 8
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -329,7 +328,6 @@ def make_concise_collection(col: ConstraintCollection) -> ConstraintCollection:
 # --- consistency ------------------------------------------------------------
 
 _kernel_cache: dict[tuple, np.ndarray] = {}
-_kernel_lock = threading.Lock()
 
 
 def tensor_row_space(constraint: AffineConstraint, d: int) -> np.ndarray:
@@ -342,9 +340,8 @@ def tensor_row_space(constraint: AffineConstraint, d: int) -> np.ndarray:
     powers = np.vstack([tensor_power(f, d) for f in constraint.forms])
     ech, _ = gflinalg.rref(powers.T, constraint.p)
     ech.setflags(write=False)
-    with _kernel_lock:
-        _kernel_cache.setdefault(key, ech)
-    return _kernel_cache[key]
+    _kernel_cache[key] = ech
+    return ech
 
 
 def consistency_check(
@@ -383,13 +380,30 @@ def dump_induced_constraint(ic: InducedConstraint, range_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_block(text: str, constraints: dict) -> tuple[InducedConstraint, int]:
+    """One constraint block; `constraints` maps (p, l, form lines) to the
+    AffineConstraint already built from them, so equal blocks share it."""
+    lines = text.strip().split("\n")
+    head = lines[0].split()
+    if len(head) != 4:
+        raise ValueError(f"constraint header needs 4 integers 'p l m R', got {lines[0]!r}")
+    p, ell, m, r = (int(t) for t in head)
+    if not is_prime(p) or ell < 1 or m < 1 or r < 1:
+        raise ValueError(f"constraint header {lines[0]!r} needs a prime p and l, m, R >= 1")
+    if len(lines) != m + 2:
+        raise ValueError(f"constraint block has {len(lines)} lines, its header declares {m + 2}")
+    key = (p, ell, tuple(lines[1 : m + 1]))
+    a = constraints.get(key)
+    if a is None:
+        rows = [[int(t) for t in ln.split()] for ln in lines[1 : m + 1]]
+        if any(len(row) != ell for row in rows):
+            raise ValueError(f"every form line needs l = {ell} coefficients")
+        a = constraints[key] = AffineConstraint.from_rows(p, rows)
+    return InducedConstraint(a, tuple(int(t) for t in lines[m + 1].split())), r
+
+
 def parse_induced_constraint(text: str) -> tuple[InducedConstraint, int]:
-    lines = [ln for ln in text.strip().split("\n")]
-    p, _ell, m, r = (int(t) for t in lines[0].split())
-    rows = [[int(t) for t in lines[1 + i].split()] for i in range(m)]
-    sigma = tuple(int(t) for t in lines[1 + m].split())
-    ic = InducedConstraint(AffineConstraint.from_rows(p, rows), sigma)
-    return ic, r
+    return _parse_block(text, {})
 
 
 def dump_collection(col: ConstraintCollection, range_size: int) -> str:
@@ -397,13 +411,35 @@ def dump_collection(col: ConstraintCollection, range_size: int) -> str:
 
 
 def parse_collection(text: str) -> tuple[ConstraintCollection, int]:
+    """A collection file's members and its range size R (1 when empty); all
+    blocks must agree on p and R, and each distinct block of form lines is
+    parsed and validated once."""
     blocks = [b for b in text.strip().split("\n\n") if b.strip()]
-    members = []
-    r = 1
-    for b in blocks:
-        ic, r = parse_induced_constraint(b)
-        members.append(ic)
-    return ConstraintCollection(tuple(members)), r
+    constraints: dict = {}
+    parsed = [_parse_block(b, constraints) for b in blocks]
+    fields = sorted({(ic.constraint.p, r) for ic, r in parsed})
+    if len(fields) > 1:
+        raise ValueError(f"collection blocks disagree on (p, R): {fields}")
+    return ConstraintCollection(tuple(ic for ic, _ in parsed)), fields[0][1] if fields else 1
+
+
+def _sum_rows(left: np.ndarray, params: FieldParams) -> np.ndarray:
+    """(len(left), p^n) table of index(x + y) for the points x with canonical
+    index in `left` and every y in canonical order.
+
+    Built one digit of y at a time: with y's digits below k already placed,
+    setting digit k of y to e moves digit k of x from d to (d + e) mod p, so
+    each step is one broadcast add and the steps' sizes grow geometrically.
+    """
+    p = params.p
+    coords = domain_coords(params)
+    e = np.arange(p, dtype=np.int64)
+    rows = left[:, None]
+    for k in range(params.n):
+        d = coords[k, left][:, None]
+        shift = ((d + e) % p - d) * p**k
+        rows = (shift[:, :, None] + rows[:, None, :]).reshape(len(left), -1)
+    return rows
 
 
 def grid_point_indices(
@@ -415,33 +451,42 @@ def grid_point_indices(
 
     With chunk_var set, the grid is restricted to a fixed canonical index of
     x_1 (used to walk large grids one slice at a time).
-    """
-    from .field import domain_coords  # local import to keep module deps one-way
 
-    p, n = params.p, params.n
-    size = params.size
-    ell = constraint.ell
-    coords = domain_coords(params)
-    axes = ell if chunk_var is None else ell - 1
-    shape = (size,) * axes
+    The indices are combined directly, with no pass per digit.  Canonical
+    indices are little-endian radix p, so index(x + y) is digit-wise
+    addition mod p: each form starts from the index of x_1 and takes one
+    variable per axis, at p = 2 by a broadcast XOR with index(x_k), at
+    p >= 3 by a gather of rows of the sum table add[i, j] = index(x_i + x_j)
+    whose columns are permuted by index(c * x) for a coefficient c != 1.  The
+    table has p^(2n) entries and is built only once the index so far has a
+    free axis, so the grid has at least two and the table is never larger
+    than it; with one free axis (x_1 fixed, l = 2) only the p^n-entry row of
+    the fixed x_1 is built.
+    """
+    p, size = params.p, params.size
+    every = np.arange(size, dtype=np.int64)
+    start = every if chunk_var is None else np.array(chunk_var, dtype=np.int64)
+    table = None
     out = []
     for f in constraint.forms:
-        idx = np.zeros(shape, dtype=np.int64)
-        for t in range(n):
-            digit = np.zeros(shape, dtype=np.int64)
-            for k in range(ell):
-                c = f.coeffs[k]
-                if not c:
-                    continue
-                if chunk_var is not None and k == 0:
-                    digit += c * coords[t, chunk_var]
+        acc = start  # index of a_j over the variables read so far, one axis each
+        for c in f.coeffs[1:]:
+            if not c:
+                acc = np.repeat(acc[..., None], size, axis=-1)
+            elif p == 2:
+                acc = acc[..., None] ^ every
+            else:
+                if acc.ndim:
+                    if table is None:
+                        table = _sum_rows(every, params)
+                    rows, at = table, acc
                 else:
-                    ax = k if chunk_var is None else k - 1
-                    view = [1] * axes
-                    view[ax] = size
-                    digit = digit + c * coords[t].reshape(view)
-            idx += (digit % p) * p**t
-        out.append(idx.ravel())
+                    rows, at = _sum_rows(acc[None], params), 0
+                if c != 1:
+                    scaled = p ** np.arange(params.n, dtype=np.int64) @ (c * domain_coords(params) % p)
+                    rows = rows[:, scaled]
+                acc = rows[at]
+        out.append(acc.ravel())
     return out
 
 
@@ -468,7 +513,11 @@ def scan_grid(
     Returns the flat index of the first match in lexicographic order (x_1
     most significant), or None, when `first`; otherwise the number of
     matches.  Grids above GRID_CHUNK tuples are walked one x_1 slice at a
-    time to bound memory.
+    time to bound memory.  Each grid or slice is rebuilt from its indices by
+    `grid_point_indices` (one XOR or gather per nonzero coefficient, no pass
+    per digit), whose auxiliary tables are never larger than the grid or
+    slice it builds, so a scan holds about one index array per form of at
+    most max(GRID_CHUNK, p^(n(l-1))) entries.
     """
     size = params.size
     step = size ** (constraint.ell - 1)

@@ -1,10 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affinetest import fixtures
 from affinetest.cli import main
-from affinetest.field import load_function_table
+from affinetest.field import load_function_table, save_function_table
+from affinetest.forms import dump_collection, parse_collection
 
 
 @pytest.fixture
@@ -212,3 +216,51 @@ def test_distance_rejects_nonpositive_budget(free_table):
         argv = ["distance", "--function", str(free_table), "--max-degree", "1",
                 "--budget", budget]
         assert main(argv) == 64
+
+
+def _damage(data, text: str) -> str:
+    """Cut `text`, replace one of its tokens, or drop or repeat one line."""
+    kind = data.draw(st.sampled_from(["cut", "token", "line"]), label="kind")
+    if kind == "cut":
+        return text[: data.draw(st.integers(0, len(text)), label="cut")]
+    if kind == "token":
+        tokens = list(re.finditer(r"\S+", text))
+        tok = tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")]
+        new = data.draw(st.sampled_from(["-1", "0", "1", "2", "3", "4", "7", "x", ""]), label="new")
+        return text[: tok.start()] + new + text[tok.end():]
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    repeat = data.draw(st.booleans(), label="repeat")
+    return "\n".join(lines[: i + 1] + lines[i:] if repeat else lines[:i] + lines[i + 1:])
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_damaged_collection_files_exit_cleanly(tmp_path_factory, data):
+    work = tmp_path_factory.getbasetemp() / "damaged"
+    work.mkdir(exist_ok=True)
+    table = work / "f.tab"
+    if not table.exists():
+        save_function_table(fixtures.random_function(2, 3, 2, seed=1), table)
+    family = fixtures.derivative_collection(data.draw(st.sampled_from([2, 3]), label="p"))
+    text = _damage(data, dump_collection(family, 2))
+    try:
+        parse_collection(text)
+        malformed = False
+    except ValueError:
+        malformed = True
+    path = work / "damaged.col"
+    path.write_text(text)
+    code = main(["test", "--constraints", str(path), "--function", str(table),
+                 "--trials", "5", "--seed", "0"])
+    assert code == 64 if malformed else code in (0, 1, 2, 64)
+
+
+@pytest.mark.parametrize("command", [
+    ["dimension", "--degrees", "1"],
+    ["consistency", "--factor", "unused.fac", "--images", "0"],
+])
+def test_empty_collection_is_usage_error(tmp_path, command):
+    empty = tmp_path / "empty.col"
+    empty.write_text("")
+    assert main(command[:1] + ["--constraints", str(empty)] + command[1:]) == 64

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -20,15 +21,18 @@ from affinetest import (
     mixed_dimension,
     tensor_power,
 )
-from affinetest.field import BudgetError
+from affinetest.field import BudgetError, domain_coords, index_to_vec
 from affinetest.forms import (
+    ConstraintCollection,
     dump_collection,
     dump_induced_constraint,
+    grid_point_indices,
     parse_collection,
     parse_induced_constraint,
+    scan_grid,
     tensor_row_space,
 )
-from affinetest import gflinalg
+from affinetest import fixtures, forms, gflinalg
 
 
 def blr_forms(p=2):
@@ -276,8 +280,6 @@ def test_constraint_file_round_trip():
     text = dump_induced_constraint(ic, 3)
     back, r = parse_induced_constraint(text)
     assert back == ic and r == 3
-    from affinetest import ConstraintCollection
-
     col = ConstraintCollection((ic, InducedConstraint(a, (3, 2, 1))))
     text = dump_collection(col, 3)
     back_col, r = parse_collection(text)
@@ -296,3 +298,163 @@ def test_tensor_row_space_cache_consistency():
     first = tensor_row_space(a, 1)
     second = tensor_row_space(a, 1)
     assert first is second
+
+
+def reference_grid_point_indices(constraint, params, chunk_var=None):
+    """The per-digit grid builder: digit t of a_j(x) is sum_k c_k x_k[t] mod p,
+    accumulated over the whole grid for every digit of every form."""
+    p, n = params.p, params.n
+    size = params.size
+    ell = constraint.ell
+    coords = domain_coords(params)
+    axes = ell if chunk_var is None else ell - 1
+    shape = (size,) * axes
+    out = []
+    for f in constraint.forms:
+        idx = np.zeros(shape, dtype=np.int64)
+        for t in range(n):
+            digit = np.zeros(shape, dtype=np.int64)
+            for k in range(ell):
+                c = f.coeffs[k]
+                if not c:
+                    continue
+                if chunk_var is not None and k == 0:
+                    digit += c * coords[t, chunk_var]
+                else:
+                    ax = k if chunk_var is None else k - 1
+                    view = [1] * axes
+                    view[ax] = size
+                    digit = digit + c * coords[t].reshape(view)
+            idx += (digit % p) * p**t
+        out.append(idx.ravel())
+    return out
+
+
+# (p, l, n): every p in {2, 3, 5, 7} at l = 1..4, grids of at most 5^6 tuples
+GRID_CASES = [
+    (p, ell, n)
+    for p, dims in ((2, (0, 1, 3)), (3, (1, 2)), (5, (1, 2)), (7, (1, 2)))
+    for n in dims
+    for ell in range(1, 5)
+    if (p**n) ** ell <= 5**6
+]
+
+
+@pytest.mark.parametrize("p,ell,n", GRID_CASES)
+def test_grid_point_indices_match_per_digit_builder(p, ell, n):
+    rng = np.random.default_rng(100 * p + 10 * ell + n)
+    params = FieldParams(p, n)
+    systems = [_random_normal_constraint(rng, p, ell, 4) for _ in range(3)]
+    # every coefficient 0..p-1 on every variable, and the AP forms x_1 + c x_2
+    systems.append(AffineConstraint.from_rows(
+        p, [(1,) + (0,) * (ell - 1)] + [(1,) + (c,) * (ell - 1) for c in range(p)]
+    ))
+    if ell == 2:
+        systems.append(fixtures.ap_constraint(p, min(p, 3)).constraint)
+    for a in systems:
+        for chunk_var in [None] + list(range(params.size)):
+            got = grid_point_indices(a, params, chunk_var)
+            want = reference_grid_point_indices(a, params, chunk_var)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_scan_grid_one_free_axis_slices(monkeypatch, p):
+    # l = 2 grids above GRID_CHUNK walk slices with only x_2 free, the case
+    # that builds one row of the sum table instead of the whole table
+    params = FieldParams(p, 2)
+    a = fixtures.ap_constraint(p, 3).constraint  # x_1, x_1 + x_2, x_1 + 2 x_2
+    f = fixtures.random_function(p, 2, 2, seed=p)
+    pts = [index_to_vec(i, params) for i in range(params.size)]
+    for sigma in itertools.product((1, 2), repeat=3):
+        hits = [
+            i * params.size + j
+            for i, x in enumerate(pts)
+            for j, y in enumerate(pts)
+            if all(f(eval_form(form, (x, y))) == s for form, s in zip(a.forms, sigma))
+        ]
+        whole = (scan_grid(f.values, a, params, sigma, first=True),
+                 scan_grid(f.values, a, params, sigma))
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "GRID_CHUNK", params.size)
+            sliced = (scan_grid(f.values, a, params, sigma, first=True),
+                      scan_grid(f.values, a, params, sigma))
+        assert whole == sliced == ((hits[0] if hits else None), len(hits))
+
+
+def test_parse_collection_builds_each_constraint_once():
+    col = fixtures.derivative_collection(5)
+    back, r = parse_collection(dump_collection(col, 5))
+    assert back == col and r == 5
+    assert len({id(ic.constraint) for ic in back.members}) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 2 2",  # short header
+        "2 2 2 2 2\n1 0\n1 1\n1 2",  # long header
+        "2 2 3 2\n1 0\n1 1\n1 2",  # fewer form lines than m
+        "2 2 1 2\n1 0\n1 1\n1",  # more lines than m + 2
+        "2 2 2 2\n1 0\n1\n1 2",  # short form line
+        "2 2 2 2\n1 0\n1 1 0\n1 2",  # long form line
+        "2 3 2 2\n1 0\n1 1\n1 2",  # rows shorter than the declared l
+        "2 2 2 2\n1 0\n1 1\n1",  # short sigma
+        "2 2 2 2\n1 0\n1 1\n1 2 1",  # long sigma
+        "4 2 2 2\n1 0\n1 1\n1 2",  # p not prime
+        "0 2 2 2\n1 0\n1 1\n1 2",
+        "2 0 2 2\n\n\n1 2",
+        "2 2 0 2\n",
+        "2 2 2 0\n1 0\n1 1\n1 2",
+        "2 2 2 x\n1 0\n1 1\n1 2",
+    ],
+)
+def test_malformed_constraint_block_raises(text):
+    with pytest.raises(ValueError):
+        parse_induced_constraint(text)
+    with pytest.raises(ValueError):
+        parse_collection(text)
+
+
+@pytest.mark.parametrize(
+    "other", ["2 2 2 5\n1 0\n1 1\n1 2", "3 2 2 2\n1 0\n1 1\n1 2"]
+)
+def test_parse_collection_rejects_blocks_disagreeing_on_p_or_r(other):
+    first = "2 2 2 2\n1 0\n1 1\n1 2\n"
+    with pytest.raises(ValueError, match="disagree"):
+        parse_collection(first + "\n" + other)
+    with pytest.raises(ValueError, match="disagree"):
+        parse_collection(other + "\n\n" + first)
+
+
+def test_truncated_collection_files_raise():
+    text = dump_collection(fixtures.derivative_collection(2), 2)
+    # inside the first header, inside the second header, inside the last sigma
+    for cut in (7, text.index("\n\n") + 5, len(text) - 4):
+        with pytest.raises(ValueError):
+            parse_collection(text[:cut])
+
+
+@st.composite
+def collections(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        ell = draw(st.integers(1, 4))
+        rows = [(1,) + (0,) * (ell - 1)]
+        for _ in range(draw(st.integers(0, 4))):
+            rows.append((1,) + tuple(draw(st.integers(0, p - 1)) for _ in range(ell - 1)))
+        sigma = tuple(draw(st.integers(1, r)) for _ in rows)
+        members.append(InducedConstraint(AffineConstraint.from_rows(p, rows), sigma))
+    return ConstraintCollection(tuple(members)), r
+
+
+@given(collections())
+def test_collection_round_trip(drawn):
+    col, r = drawn
+    back, back_r = parse_collection(dump_collection(col, r))
+    assert back.members == col.members and back_r == r
