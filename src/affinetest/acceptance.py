@@ -121,16 +121,9 @@ def pattern_probability_exactness(seed: int = 5) -> CriterionResult:
         total_tuples = (p**c) ** constraint.size
         seen_c = seen_i = 0
         for flat in rng.permutation(total_tuples):
-            cells = []
-            rem = int(flat)
-            for _ in range(constraint.size):
-                rem, cid = divmod(rem, p**c)
-                digits = []
-                for _ in range(c):
-                    cid, d = divmod(cid, p)
-                    digits.append(d)
-                cells.append(tuple(digits))
-            img = CellImage(tuple(cells))
+            # cell j holds digits jc .. jc + c - 1 of flat in radix p
+            digits = index_to_vec(int(flat), FieldParams(p, c * constraint.size))
+            img = CellImage(tuple(digits[j * c : (j + 1) * c] for j in range(constraint.size)))
             from .forms import consistency_check
 
             cons = consistency_check(constraint, degrees, img)
@@ -433,7 +426,7 @@ def _exact_trial_rejection_probability(f, family, ell: int) -> Fraction:
     params = f.params
     sub = FieldParams(params.p, ell - 1)
     grids = [
-        (ic, grid_point_indices(ic.constraint, sub)) for ic in family.members
+        (ic, grid_point_indices(ic.constraint.forms, sub)) for ic in family.members
     ]
     hits = 0
     total = params.size**ell

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, FunctionTable, RealTable
+from .field import BudgetError, FieldParams, FunctionTable, RealTable, canonical_index
 from .factor import (
     BiasCertificate,
     PolynomialFactor,
@@ -419,16 +419,15 @@ def super_decompose(f: FunctionTable, cfg: DecompositionConfig) -> Decomposition
 
 
 def _subcell_masks(
-    result: DecompositionResult, params: FieldParams, s: tuple[int, ...]
+    fine: PolynomialFactor, cc: int, params: FieldParams, s: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per point: its coarse cell index (the fine cell index's first cc
+    digits), whether it lies in subcell s, and the number p^cc of coarse
+    cells."""
     p = params.p
-    cc = result.factor_coarse.complexity
-    fine_idx = cell_index_array(result.factor_fine, params)
+    fine_idx = cell_index_array(fine, params)
     coarse_idx = fine_idx % p**cc
-    s_flat = 0
-    for v in reversed(s):
-        s_flat = s_flat * p + v % p
-    in_subcell = fine_idx // p**cc == s_flat
+    in_subcell = fine_idx // p**cc == canonical_index(s, FieldParams(p, len(s)))
     return coarse_idx, in_subcell, p**cc
 
 
@@ -447,7 +446,9 @@ def subcell_conditions(
         mean over (c, s) deviates from its mean over c by more than zeta.
     """
     params = f.params
-    coarse_idx, in_sub, ncells = _subcell_masks(result, params, s)
+    coarse_idx, in_sub, ncells = _subcell_masks(
+        result.factor_fine, result.factor_coarse.complexity, params, s
+    )
     delta_fn = as_schedule(delta, default_delta)
     dbound = delta_fn(result.factor_coarse.complexity) ** 2
     cell_counts = np.bincount(coarse_idx, minlength=ncells)
@@ -629,17 +630,10 @@ def cleanup(
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
     params = f.params
-    p = params.p
     cc = coarse.complexity
     if len(s) != fine.complexity - cc:
         raise ValueError("subcell id length mismatch")
-    fine_idx = cell_index_array(fine, params)
-    coarse_idx = fine_idx % p**cc
-    s_flat = 0
-    for v in reversed(s):
-        s_flat = s_flat * p + v % p
-    in_sub = fine_idx // p**cc == s_flat
-    ncells = p**cc
+    coarse_idx, in_sub, ncells = _subcell_masks(fine, cc, params, s)
     r = f.range_size
     cell_counts = np.bincount(coarse_idx, minlength=ncells)
     sub_counts = np.bincount(coarse_idx[in_sub], minlength=ncells)

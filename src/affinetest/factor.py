@@ -20,7 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, FunctionTable, RealTable, fourier_means, unit_roots
+from .field import (
+    BudgetError,
+    FieldParams,
+    FunctionTable,
+    RealTable,
+    canonical_index,
+    fourier_means,
+    index_to_vec,
+    unit_roots,
+)
 from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
 from .gowers import polynomial_bias
 from .poly import Polynomial
@@ -91,11 +100,7 @@ def eval_factor(factor: PolynomialFactor, x) -> tuple[int, ...]:
 
 def cell_of_index(flat: int, factor: PolynomialFactor) -> tuple[int, ...]:
     p = factor.polys[0].p if factor.polys else 2
-    out = []
-    for _ in range(factor.complexity):
-        flat, digit = divmod(flat, p)
-        out.append(digit)
-    return tuple(out)
+    return index_to_vec(flat, FieldParams(p, factor.complexity))
 
 
 def cell_histogram(
@@ -326,12 +331,7 @@ def pattern_count(
     if total > budget:
         raise BudgetError("tuple grid exceeds enumeration budget")
     cells = cell_index_array(factor, params)
-    targets = []
-    for b in images.cells:
-        flat = 0
-        for i in reversed(range(len(b))):
-            flat = flat * p + b[i] % p
-        targets.append(flat)
+    targets = [canonical_index(b, FieldParams(p, len(b))) for b in images.cells]
     return scan_grid(cells, constraint, params, targets), total
 
 
@@ -386,21 +386,23 @@ def dump_factor(factor: PolynomialFactor, params: FieldParams | None = None) -> 
 
 
 def parse_factor(text: str) -> tuple[PolynomialFactor, FieldParams]:
-    lines = [ln for ln in text.strip().split("\n") if ln.strip()]
-    p, n, c = (int(t) for t in lines[0].split())
+    lines = [ln.split() for ln in text.strip().split("\n") if ln.strip()]
+    if not lines or len(lines[0]) != 3:
+        raise ValueError("factor header needs 3 integers 'p n C'")
+    p, n, c = (int(t) for t in lines[0])
+    params = FieldParams(p, n)
+    if len(lines) != c + 1:
+        raise ValueError(f"factor has {len(lines) - 1} polynomial lines, its header declares {c}")
     polys = []
-    for i in range(c):
-        tok = [int(t) for t in lines[1 + i].split()]
-        k = tok[0]
+    for line in lines[1:]:
+        tok = [int(t) for t in line]
+        if tok[0] < 0 or len(tok) != 1 + tok[0] * (1 + n):
+            raise ValueError(f"polynomial line needs a count k and k groups of {1 + n} integers")
         monos = {}
-        pos = 1
-        for _ in range(k):
-            coeff = tok[pos]
-            expts = tuple(tok[pos + 1 : pos + 1 + n])
-            monos[expts] = coeff
-            pos += 1 + n
+        for pos in range(1, len(tok), 1 + n):
+            monos[tuple(tok[pos + 1 : pos + 1 + n])] = tok[pos]
         polys.append(Polynomial.from_monomials(p, n, monos))
-    return PolynomialFactor(tuple(polys)), FieldParams(p, n)
+    return PolynomialFactor(tuple(polys)), params
 
 
 def save_factor(factor: PolynomialFactor, path, params: FieldParams | None = None) -> None:

@@ -214,22 +214,32 @@ def disagreement_count(f: FunctionTable, g: FunctionTable) -> tuple[int, int]:
     return int(np.count_nonzero(f.values != g.values)), f.params.size
 
 
+def combination_indices(points, coeffs, p: int) -> np.ndarray:
+    """Canonical indices of fixed linear combinations of many point tuples.
+
+    `points` has shape (..., l, n) and `coeffs` shape (k, l); entry i of the
+    result's last axis (shape (..., k)) is the index of sum_j coeffs[i, j]
+    x_j.  Indices accumulate one coordinate at a time, so memory stays at
+    one result-sized array.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    cols = np.asarray(coeffs, dtype=np.int64).T
+    idx = np.zeros(pts.shape[:-2] + cols.shape[1:], dtype=np.int64)
+    for t in range(pts.shape[-1]):
+        idx += (pts[..., t] @ cols % p) * p**t
+    return idx
+
+
 def affine_span_indices(points, p: int) -> np.ndarray:
     """Canonical indices of the affine spans of many point tuples at once.
 
     `points` has shape (trials, l, n); row c of the result (trials, p^(l-1))
     holds the index of x_1 + sum_j c_j x_(j+1) for every c in F_p^(l-1) in
-    canonical order.  Indices accumulate one coordinate at a time, so memory
-    stays at trials * p^(l-1) entries.
+    canonical order.
     """
     pts = np.asarray(points, dtype=np.int64)
-    trials, ell, n = pts.shape
-    coeffs = domain_coords(FieldParams(p, ell - 1))
-    idx = np.zeros((trials, coeffs.shape[1]), dtype=np.int64)
-    for t in range(n):
-        digit = pts[:, 1:, t] @ coeffs + pts[:, :1, t]
-        idx += (digit % p) * p**t
-    return idx
+    span = domain_coords(FieldParams(p, pts.shape[-2] - 1)).T
+    return combination_indices(pts, np.hstack([np.ones((len(span), 1), np.int64), span]), p)
 
 
 def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
@@ -262,11 +272,21 @@ def dump_function_table(f: FunctionTable) -> str:
     return head + "\n" + body + "\n"
 
 
+def _split_table(text: str, header: str) -> tuple[list[int], list[str]]:
+    """A table file's header integers, named by `header` ("p n R"), and its
+    value tokens; the file must hold exactly those two lines."""
+    lines = text.strip().split("\n")
+    if len(lines) != 2:
+        raise ValueError(f"table needs a header line {header!r} and one line of values")
+    head = lines[0].split()
+    if len(head) != len(header.split()):
+        raise ValueError(f"table header needs the integers {header!r}, got {lines[0]!r}")
+    return [int(t) for t in head], lines[1].split()
+
+
 def parse_function_table(text: str) -> FunctionTable:
-    lines = text.split("\n")
-    p, n, r = (int(t) for t in lines[0].split())
-    vals = [int(t) for t in lines[1].split()]
-    return FunctionTable(FieldParams(p, n), r, np.array(vals, dtype=np.int64))
+    (p, n, r), vals = _split_table(text, "p n R")
+    return FunctionTable(FieldParams(p, n), r, np.array([int(t) for t in vals], dtype=np.int64))
 
 
 def save_function_table(f: FunctionTable, path) -> None:
@@ -284,10 +304,8 @@ def dump_real_table(f: RealTable) -> str:
 
 
 def parse_real_table(text: str) -> RealTable:
-    lines = text.split("\n")
-    p, n = (int(t) for t in lines[0].split())
-    vals = [float(t) for t in lines[1].split()]
-    return RealTable(FieldParams(p, n), np.array(vals, dtype=np.float64))
+    (p, n), vals = _split_table(text, "p n")
+    return RealTable(FieldParams(p, n), np.array([float(t) for t in vals], dtype=np.float64))
 
 
 def save_real_table(f: RealTable, path) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldParams, FunctionTable, RealTable
+from .field import FieldParams, FunctionTable, RealTable, index_to_vec
 from .forms import AffineConstraint, ConstraintCollection, InducedConstraint
 from .factor import PolynomialFactor
 from .poly import Polynomial, monomials_up_to_degree
@@ -96,11 +96,7 @@ def derivative_collection(p: int) -> ConstraintCollection:
     a = derivative_forms(p)
     members = []
     for flat in range(p**4):
-        s = []
-        rem = flat
-        for _ in range(4):
-            rem, v = divmod(rem, p)
-            s.append(v)
+        s = index_to_vec(flat, FieldParams(p, 4))
         if (s[0] - s[1] - s[2] + s[3]) % p != 0:
             members.append(InducedConstraint(a, tuple(v + 1 for v in s)))
     return ConstraintCollection(tuple(members))

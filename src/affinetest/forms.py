@@ -11,7 +11,7 @@ the consistency predicate for tuples of cell images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -442,34 +442,43 @@ def _sum_rows(left: np.ndarray, params: FieldParams) -> np.ndarray:
     return rows
 
 
+def _scaled_indices(c: int, x, params: FieldParams) -> np.ndarray:
+    """index(c * x) for the points x with canonical indices `x`."""
+    if c == 1:
+        return x
+    p = params.p
+    return p ** np.arange(params.n, dtype=np.int64) @ (c * domain_coords(params)[:, x] % p)
+
+
 def grid_point_indices(
-    constraint: AffineConstraint, params: FieldParams, chunk_var: int | None = None
+    forms: Sequence[LinearForm], params: FieldParams, chunk_var: int | None = None
 ) -> list[np.ndarray]:
     """Per-form arrays of canonical point indices of a_j(x_1, ..., x_l) over
     the full tuple grid (F_p^n)^l laid out with x_1 as the most significant
-    axis (lexicographic order).
+    axis (lexicographic order).  The forms share l but may carry any
+    coefficient on x_1.
 
     With chunk_var set, the grid is restricted to a fixed canonical index of
-    x_1 (used to walk large grids one slice at a time).
+    x_1 (used to walk large grids one slice at a time; see grid_slices).
 
     The indices are combined directly, with no pass per digit.  Canonical
     indices are little-endian radix p, so index(x + y) is digit-wise
-    addition mod p: each form starts from the index of x_1 and takes one
+    addition mod p: each form starts from index(c_1 * x_1) and takes one
     variable per axis, at p = 2 by a broadcast XOR with index(x_k), at
     p >= 3 by a gather of rows of the sum table add[i, j] = index(x_i + x_j)
     whose columns are permuted by index(c * x) for a coefficient c != 1.  The
     table has p^(2n) entries and is built only once the index so far has a
     free axis, so the grid has at least two and the table is never larger
     than it; with one free axis (x_1 fixed, l = 2) only the p^n-entry row of
-    the fixed x_1 is built.
+    the fixed index(c_1 * x_1) is built.
     """
     p, size = params.p, params.size
     every = np.arange(size, dtype=np.int64)
-    start = every if chunk_var is None else np.array(chunk_var, dtype=np.int64)
+    x1 = every if chunk_var is None else np.array(chunk_var, dtype=np.int64)
     table = None
     out = []
-    for f in constraint.forms:
-        acc = start  # index of a_j over the variables read so far, one axis each
+    for f in forms:
+        acc = _scaled_indices(f.coeffs[0], x1, params)  # a_j over the variables read so far
         for c in f.coeffs[1:]:
             if not c:
                 acc = np.repeat(acc[..., None], size, axis=-1)
@@ -483,11 +492,22 @@ def grid_point_indices(
                 else:
                     rows, at = _sum_rows(acc[None], params), 0
                 if c != 1:
-                    scaled = p ** np.arange(params.n, dtype=np.int64) @ (c * domain_coords(params) % p)
-                    rows = rows[:, scaled]
+                    rows = rows[:, _scaled_indices(c, every, params)]
                 acc = rows[at]
         out.append(acc.ravel())
     return out
+
+
+def grid_slices(
+    forms: Sequence[LinearForm], params: FieldParams
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The tuple grid of `forms` as (offset, grid_point_indices arrays) pairs:
+    the whole grid at offset 0 when it has at most GRID_CHUNK tuples, else
+    one x_1 slice at a time, offset being the flat index of the slice's
+    first tuple."""
+    step = params.size ** (forms[0].ell - 1)
+    for x1 in [None] if params.size * step <= GRID_CHUNK else range(params.size):
+        yield (x1 or 0) * step, grid_point_indices(forms, params, chunk_var=x1)
 
 
 def grid_matches(
@@ -512,23 +532,17 @@ def scan_grid(
 
     Returns the flat index of the first match in lexicographic order (x_1
     most significant), or None, when `first`; otherwise the number of
-    matches.  Grids above GRID_CHUNK tuples are walked one x_1 slice at a
-    time to bound memory.  Each grid or slice is rebuilt from its indices by
-    `grid_point_indices` (one XOR or gather per nonzero coefficient, no pass
-    per digit), whose auxiliary tables are never larger than the grid or
-    slice it builds, so a scan holds about one index array per form of at
-    most max(GRID_CHUNK, p^(n(l-1))) entries.
+    matches.  The grid comes from grid_slices, whole or one x_1 slice at a
+    time, so a scan holds about one index array per form of at most
+    max(GRID_CHUNK, p^(n(l-1))) entries.
     """
-    size = params.size
-    step = size ** (constraint.ell - 1)
-    slices = [None] if size * step <= GRID_CHUNK else range(size)
     count = 0
-    for x1 in slices:
-        ok = grid_matches(values, grid_point_indices(constraint, params, chunk_var=x1), targets)
+    for offset, grids in grid_slices(constraint.forms, params):
+        ok = grid_matches(values, grids, targets)
         if first:
             i = int(ok.argmax())
             if ok[i]:
-                return (x1 or 0) * step + i
+                return offset + i
         else:
             count += int(np.count_nonzero(ok))
     return None if first else count

@@ -15,8 +15,11 @@ p^(n(k-1))-entry derivative stack at once (p^n derivative tables per level
 above U^2), so a charge by the transform's work would bound its time but
 not its memory.  No charge exceeds the p^(n(k+1)) tuples, so any call whose
 tuple space fits the budget is exact.  Monte-Carlo mode samples
-tuples from MC_STREAMS fixed logical RNG streams, so results are
-reproducible for a given seed.
+tuples (x, h_1, ..., h_k) from MC_STREAMS fixed logical RNG streams, so
+results are reproducible for a given seed; one field.combination_indices
+call per stream gives the index of x + sum_{i in S} h_i for all 2^k subsets
+S at once.  system_product_mean sums over the grid of its rank-reduced forms
+as forms.grid_slices hands it out, whole or one x_1 slice at a time.
 
 The U^1 "norm" is the seminorm |E f|; it is allowed here and flagged as such
 in the documentation only.
@@ -30,8 +33,17 @@ from typing import Sequence
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, RealTable, domain_coords, fourier_means, unit_roots
-from .forms import LinearForm
+from .field import (
+    BudgetError,
+    FieldParams,
+    RealTable,
+    combination_indices,
+    domain_coords,
+    fourier_means,
+    index_to_vec,
+    unit_roots,
+)
+from .forms import LinearForm, grid_slices
 from .poly import Polynomial, monomials_up_to_degree
 
 DEFAULT_EXACT_BUDGET = 1 << 26
@@ -122,8 +134,11 @@ def gowers_norm_values(
 def _gowers_monte_carlo(
     values: np.ndarray, params: FieldParams, k: int, samples: int, seed: int
 ) -> GowersResult:
-    p, n, size = params.p, params.n, params.size
     coords = domain_coords(params)
+    # row mask: x + sum of the h_i whose bit i is set in mask
+    masks = domain_coords(FieldParams(2, k)).T
+    combos = np.hstack([np.ones((len(masks), 1), dtype=np.int64), masks])
+    conjugate = np.iscomplexobj(values) & ((k - masks.sum(axis=1)) % 2 == 1)
     per = [samples // MC_STREAMS] * MC_STREAMS
     for i in range(samples % MC_STREAMS):
         per[i] += 1
@@ -132,21 +147,11 @@ def _gowers_monte_carlo(
         if count == 0:
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, worker)))
-        draws = rng.integers(0, size, size=(k + 1, count), dtype=np.int64)
+        draws = rng.integers(0, params.size, size=(k + 1, count), dtype=np.int64)
+        terms = values[combination_indices(coords[:, draws.T].transpose(1, 2, 0), combos, params.p)]
         prod = np.ones(count, dtype=values.dtype)
-        for mask in range(1 << k):
-            digitsum = coords[:, draws[0]].copy()
-            for i in range(k):
-                if mask >> i & 1:
-                    digitsum += coords[:, draws[i + 1]]
-            digitsum %= p
-            idx = np.zeros(count, dtype=np.int64)
-            for t in range(n):
-                idx += digitsum[t] * p**t
-            term = values[idx]
-            if np.iscomplexobj(values) and (k - bin(mask).count("1")) % 2:
-                term = np.conj(term)
-            prod = prod * term
+        for mask, conj in enumerate(conjugate):
+            prod = prod * (np.conj(terms[:, mask]) if conj else terms[:, mask])
         chunks.append(prod)
     sample_vals = np.concatenate(chunks)
     if np.iscomplexobj(sample_vals):
@@ -236,12 +241,8 @@ def inverse_gowers_search(
     # flat index q * p^n + r is the coefficient vector's index divided by p
     flat = scores.ravel()
     best = int(np.argmax(flat >= (1.0 - TIE_RTOL) * flat.max()))
-    rem, coeffs = best * p, {}
-    for e in monos:
-        rem, c = divmod(rem, p)
-        if c:
-            coeffs[e] = c
-    poly = Polynomial.from_monomials(p, n, coeffs)
+    digits = index_to_vec(best * p, FieldParams(p, len(monos)))
+    poly = Polynomial.from_monomials(p, n, {e: c for e, c in zip(monos, digits) if c})
     recomputed = correlation(f, poly)
     if abs(recomputed - flat[best]) > 1e-9:
         raise RuntimeError("witness correlation failed recomputation")
@@ -260,7 +261,10 @@ def system_product_mean(
     reduced echelon form, the pivot-form images are jointly uniform and every
     other image is a fixed combination of them, so the p^(nl)-term sum
     collapses to a grid over rank-many variables; fully independent systems
-    reduce to a product of means.
+    reduce to a product of means.  The reduced grid has p^(nr) tuples, at
+    most `budget`; it is built by forms.grid_slices, whole when it has at
+    most forms.GRID_CHUNK tuples, else one slice of p^(n(r-1)) tuples per
+    value of the first variable.
     """
     m = len(tables)
     if m != len(forms):
@@ -272,7 +276,7 @@ def system_product_mean(
     if any(f.p != p for f in forms):
         raise ValueError("forms and tables disagree on p")
     coeff = np.array([f.coeffs for f in forms], dtype=np.int64)
-    basis, pivots = gflinalg.rref(coeff.T, p)  # column-space basis, rref rows
+    basis, _ = gflinalg.rref(coeff.T, p)  # column-space basis, rref rows
     r = basis.shape[0]
     if n == 0 or r == 0:
         out = 1.0
@@ -287,44 +291,12 @@ def system_product_mean(
     size = params.size
     if size**r > budget:
         raise BudgetError("reduced grid exceeds enumeration budget")
-    # rows over r grid variables: pivot form a gets e_a, others column j of basis
-    rows = np.zeros((m, r), dtype=np.int64)
-    for a, j in enumerate(pivots):
-        rows[j, a] = 1
-    for j in range(m):
-        if j not in pivots:
-            rows[j] = basis[:, j]
-    coords = domain_coords(params)
+    # form j over the r grid variables is column j of the rref basis (e_a at pivot a)
+    reduced = [LinearForm(p, tuple(col)) for col in basis.T]
     total = 0.0
-    outer = 0
-    while size ** (r - outer) > 1 << 22:
-        outer += 1
-    outer_count = size**outer
-    shape = (size,) * (r - outer)
-    base = np.arange(size, dtype=np.int64)
-    for oid in range(outer_count):
-        ovals = []
-        rem = oid
-        for _ in range(outer):
-            rem, v = divmod(rem, size)
-            ovals.append(v)
-        prod = None
-        for j in range(m):
-            idx = np.zeros(shape, dtype=np.int64)
-            for t in range(n):
-                digit = np.zeros(shape, dtype=np.int64)
-                for a in range(r):
-                    c = rows[j, a]
-                    if not c:
-                        continue
-                    if a < outer:
-                        digit += c * coords[t, ovals[a]]
-                    else:
-                        view = [1] * (r - outer)
-                        view[a - outer] = size
-                        digit = digit + c * coords[t].reshape(view)
-                idx += (digit % p) * p**t
-            term = tables[j].values[idx]
-            prod = term if prod is None else prod * term
+    for _, grids in grid_slices(reduced, params):
+        prod = tables[0].values[grids[0]]
+        for t, idx in zip(tables[1:], grids[1:]):
+            prod = prod * t.values[idx]
         total += float(prod.sum())
     return total / size**r

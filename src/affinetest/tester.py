@@ -26,6 +26,7 @@ from .field import (
     FieldParams,
     FunctionTable,
     affine_span_indices,
+    combination_indices,
     disagreement_count,
     domain_coords,
     index_to_vec,
@@ -46,6 +47,7 @@ from .poly import Polynomial, monomials_up_to_degree
 
 DEFAULT_TUPLE_BUDGET = 1 << 24
 DEFAULT_NODE_BUDGET = 1 << 20
+SEARCH_BLOCK = 1 << 10  # tuples drawn and checked at once by the randomized search
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,9 @@ def find_induced_occurrence(
 
     Exhaustive mode scans all tuples in lexicographic order of canonical
     indices (x_1 most significant) and is definitive.  Randomized mode samples
-    `budget` tuples and is definitive only on success or when sigma uses a
-    label f never attains.
+    `budget` tuples from one seeded stream, SEARCH_BLOCK at a time, returns
+    the first match in draw order, and is definitive only on success or when
+    sigma uses a label f never attains.
     """
     params = f.params
     a = ic.constraint
@@ -146,10 +149,15 @@ def find_induced_occurrence(
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    for _ in range(budget):
-        pts = tuple(index_to_vec(int(i), params) for i in rng.integers(0, params.size, size=ell))
-        if all(f(eval_form(form, pts)) == lab for form, lab in zip(a.forms, ic.sigma)):
-            return SearchOutcome(make_witness(f, ic, pts), True)
+    coeffs = [form.coeffs for form in a.forms]
+    place = params.p ** np.arange(params.n, dtype=np.int64)
+    for start in range(0, budget, SEARCH_BLOCK):
+        # one draw per block continues the stream of one draw per tuple
+        draws = rng.integers(0, params.size, size=(min(SEARCH_BLOCK, budget - start), ell))
+        points = draws[:, :, None] // place % params.p
+        ok = np.all(f.values[combination_indices(points, coeffs, params.p)] == ic.sigma, axis=1)
+        if ok.any():
+            return SearchOutcome(make_witness(f, ic, points[ok.argmax()].tolist()), True)
     return SearchOutcome(None, False)
 
 
@@ -212,7 +220,7 @@ class _GridCheck:
         self.constraint = constraint
         self.sub = sub
         total = sub.size**constraint.ell
-        self.grids = grid_point_indices(constraint, sub) if total <= budget else None
+        self.grids = grid_point_indices(constraint.forms, sub) if total <= budget else None
         self.sigmas = np.zeros((len(members), constraint.size), dtype=np.int64)
         for i in positions:
             self.sigmas[i] = members[i].sigma
@@ -250,9 +258,8 @@ class _GridCheck:
     def verify(self, f: FunctionTable, lifted: np.ndarray, positions: np.ndarray) -> None:
         """Raise unless f(a_j(y)) = sigma_j for every lifted tuple y and form
         a_j, with sigma that of the member at the matching position."""
-        p, n = f.params.p, f.params.n
-        coeffs = np.array([form.coeffs for form in self.constraint.forms], dtype=np.int64)
-        idx = (coeffs @ lifted % p) @ (p ** np.arange(n, dtype=np.int64))
+        coeffs = [form.coeffs for form in self.constraint.forms]
+        idx = combination_indices(lifted, coeffs, f.params.p)
         if not np.array_equal(f.values[idx], self.sigmas[positions]):
             raise ValueError("claimed witness does not evaluate to sigma")
 
@@ -362,13 +369,9 @@ def enumerate_degree_tables(params: FieldParams, max_degree: int, budget: int = 
     mono_vals = np.stack(
         [Polynomial.from_monomials(params.p, params.n, {e: 1}).values() for e in monos]
     )
+    coeff_space = FieldParams(params.p, k)
     for pid in range(total):
-        coeffs = []
-        rem = pid
-        for _ in range(k):
-            rem, c = divmod(rem, params.p)
-            coeffs.append(c)
-        yield np.array(coeffs, dtype=np.int64) @ mono_vals % params.p
+        yield np.array(index_to_vec(pid, coeff_space), dtype=np.int64) @ mono_vals % params.p
 
 
 def distance_to_enumerable_property(

@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from affinetest import fixtures
 from affinetest.cli import main
-from affinetest.field import load_function_table, save_function_table
+from affinetest.factor import dump_factor, parse_factor
+from affinetest.field import (
+    dump_function_table,
+    dump_real_table,
+    load_function_table,
+    parse_function_table,
+    parse_real_table,
+    save_function_table,
+)
 from affinetest.forms import dump_collection, parse_collection
 
 
@@ -264,3 +272,47 @@ def test_empty_collection_is_usage_error(tmp_path, command):
     empty = tmp_path / "empty.col"
     empty.write_text("")
     assert main(command[:1] + ["--constraints", str(empty)] + command[1:]) == 64
+
+
+# (dumped file, its parser, the command that reads it from PATH)
+READERS = {
+    "function": (dump_function_table(fixtures.random_function(2, 3, 2, seed=1)),
+                 parse_function_table, ["distance", "--function", "PATH", "--max-degree", "1"]),
+    "real": (dump_real_table(fixtures.random_real_table(2, 3, seed=1)),
+             parse_real_table, ["gowers", "--real", "PATH", "-k", "2"]),
+    "factor": (dump_factor(fixtures.linear_factor(2, 4, 2, 0)),
+               parse_factor, ["factor-stats", "--factor", "PATH"]),
+}
+
+
+def _read_damaged(path, kind, text) -> int:
+    """The reader's command exits 64 exactly when the parser rejects the
+    text, and 0 otherwise; it never raises."""
+    _, parse, argv = READERS[kind]
+    try:
+        parse(text)
+        malformed = False
+    except ValueError:
+        malformed = True
+    path.write_text(text)
+    code = main([str(path) if a == "PATH" else a for a in argv])
+    assert code == (64 if malformed else 0)
+    return code
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_truncated_table_and_factor_files_exit_cleanly(tmp_path, kind, capsys):
+    text = READERS[kind][0]
+    for cut in range(len(text) + 1):
+        code = _read_damaged(tmp_path / "cut", kind, text[:cut])
+        if cut < len(text.rstrip()) and text[cut].isspace():
+            assert code == 64  # whole tokens or lines are missing
+    capsys.readouterr()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_damaged_table_and_factor_files_exit_cleanly(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(READERS)), label="kind")
+    path = tmp_path_factory.getbasetemp() / f"damaged.{kind}"
+    _read_damaged(path, kind, _damage(data, READERS[kind][0]))

@@ -136,6 +136,27 @@ def test_real_table_round_trip():
     assert np.array_equal(back.values, t.values)
 
 
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_function_table, ""),
+        (parse_function_table, "2 1 2"),  # header only
+        (parse_function_table, "2 1\n1 2"),  # short header
+        (parse_function_table, "2 1 2 2\n1 2"),  # long header
+        (parse_function_table, "2 1 2\n1 2\n1 2"),  # extra line
+        (parse_function_table, "2 1 2\n1"),  # too few labels
+        (parse_real_table, "2 1"),
+        (parse_real_table, "2\n0.5 0.25"),
+        (parse_real_table, "2 1 0\n0.5 0.25"),
+        (parse_real_table, "2 1\n0.5 0.25\n0.5"),
+        (parse_real_table, "2 1\n0.5 nan"),
+    ],
+)
+def test_table_parsers_reject_malformed_files(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
 def test_table_validation():
     params = FieldParams(2, 2)
     with pytest.raises(ValueError):

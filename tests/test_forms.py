@@ -300,17 +300,17 @@ def test_tensor_row_space_cache_consistency():
     assert first is second
 
 
-def reference_grid_point_indices(constraint, params, chunk_var=None):
+def reference_grid_point_indices(forms_, params, chunk_var=None):
     """The per-digit grid builder: digit t of a_j(x) is sum_k c_k x_k[t] mod p,
     accumulated over the whole grid for every digit of every form."""
     p, n = params.p, params.n
     size = params.size
-    ell = constraint.ell
+    ell = forms_[0].ell
     coords = domain_coords(params)
     axes = ell if chunk_var is None else ell - 1
     shape = (size,) * axes
     out = []
-    for f in constraint.forms:
+    for f in forms_:
         idx = np.zeros(shape, dtype=np.int64)
         for t in range(n):
             digit = np.zeros(shape, dtype=np.int64)
@@ -351,10 +351,16 @@ def test_grid_point_indices_match_per_digit_builder(p, ell, n):
     ))
     if ell == 2:
         systems.append(fixtures.ap_constraint(p, min(p, 3)).constraint)
-    for a in systems:
+    systems = [a.forms for a in systems]
+    # any x_1 coefficient: random forms, and c x_1 for every c, alone and plus x_2 + ... + x_l
+    systems.append([LinearForm(p, tuple(int(v) for v in rng.integers(0, p, size=ell)))
+                    for _ in range(4)])
+    systems.append([LinearForm(p, (c,) + (0,) * (ell - 1)) for c in range(p)])
+    systems.append([LinearForm(p, (c,) + (1,) * (ell - 1)) for c in range(p)])
+    for forms_ in systems:
         for chunk_var in [None] + list(range(params.size)):
-            got = grid_point_indices(a, params, chunk_var)
-            want = reference_grid_point_indices(a, params, chunk_var)
+            got = grid_point_indices(forms_, params, chunk_var)
+            want = reference_grid_point_indices(forms_, params, chunk_var)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape

@@ -15,11 +15,18 @@ from affinetest import (
     polynomial_bias,
     system_product_mean,
 )
-from affinetest.field import BudgetError, index_to_vec
-from affinetest.gowers import DEFAULT_EXACT_BUDGET, TIE_RTOL, exact_charge
+from affinetest.field import BudgetError, domain_coords, index_to_vec
+from affinetest.gowers import (
+    DEFAULT_EXACT_BUDGET,
+    MC_STREAMS,
+    TIE_RTOL,
+    GowersResult,
+    exact_charge,
+)
 from affinetest.poly import monomials_up_to_degree
 from affinetest.forms import eval_form
 from affinetest import fixtures
+from affinetest import forms as forms_module
 
 
 def reference_gowers(values, params, k):
@@ -162,6 +169,57 @@ def test_monte_carlo_deterministic_given_seed():
     assert a == b
 
 
+def reference_monte_carlo(values, params, k, samples, seed):
+    """The per-mask Monte-Carlo loop: each stream's digit sums x + sum of the
+    chosen h_i rebuilt mask by mask; the oracle for the batched estimate."""
+    p, n, size = params.p, params.n, params.size
+    coords = domain_coords(params)
+    per = [samples // MC_STREAMS] * MC_STREAMS
+    for i in range(samples % MC_STREAMS):
+        per[i] += 1
+    chunks = []
+    for worker, count in enumerate(per):
+        if count == 0:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, worker)))
+        draws = rng.integers(0, size, size=(k + 1, count), dtype=np.int64)
+        prod = np.ones(count, dtype=values.dtype)
+        for mask in range(1 << k):
+            digitsum = coords[:, draws[0]].copy()
+            for i in range(k):
+                if mask >> i & 1:
+                    digitsum += coords[:, draws[i + 1]]
+            digitsum %= p
+            idx = np.zeros(count, dtype=np.int64)
+            for t in range(n):
+                idx += digitsum[t] * p**t
+            term = values[idx]
+            if np.iscomplexobj(values) and (k - bin(mask).count("1")) % 2:
+                term = np.conj(term)
+            prod = prod * term
+        chunks.append(prod)
+    sample_vals = np.concatenate(chunks)
+    if np.iscomplexobj(sample_vals):
+        sample_vals = sample_vals.real
+    mean = float(sample_vals.mean())
+    sd = float(sample_vals.std(ddof=1)) if samples > 1 else 0.0
+    root = 1.0 / (1 << k)
+    stderr = sd / np.sqrt(samples) * root * mean ** (root - 1.0) if mean > 0 else float("inf")
+    return GowersResult(max(mean, 0.0) ** root, float(stderr), "monte_carlo", samples, seed)
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 4), (5, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_monte_carlo_matches_per_mask_loop(p, n, k):
+    t = fixtures.random_real_table(p, n, seed=10 * p + n)
+    phases = np.exp(2j * np.pi * fixtures.random_real_table(p, n, seed=k).values)
+    for values in (t.values, t.values * phases):
+        for samples, seed in ((1, 3), (5003, k), (20000, 7)):
+            got = gowers_norm_values(values, t.params, k, mode="monte_carlo",
+                                     samples=samples, seed=seed)
+            assert got == reference_monte_carlo(values, t.params, k, samples, seed)
+
+
 def test_polynomial_bias_examples():
     assert polynomial_bias(Polynomial.zero(2, 3)) == 1.0
     assert polynomial_bias(Polynomial.coordinate(2, 4, 1)) == 0.0
@@ -278,3 +336,26 @@ def test_system_product_mean_against_brute_force():
         ]
         tables = [fixtures.random_real_table(p, n, seed=trial * 31 + i) for i in range(m)]
         assert abs(system_product_mean(tables, forms) - brute_product_mean(tables, forms)) < 1e-10
+
+
+def test_system_product_mean_sliced_grid(monkeypatch):
+    # reduced forms with x_1 coefficients 0 and >= 2; with GRID_CHUNK below
+    # the reduced grid, the x_1-slice walk must cover every tuple once.  The
+    # values are quarters, so every sum is exact in any order and the two
+    # walks agree bit for bit.
+    rng = np.random.default_rng(5)
+    cases = [
+        (2, 3, [(1, 0), (0, 1), (1, 1)]),
+        (3, 2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]),
+        (5, 1, [(0, 1), (1, 0), (2, 3), (4, 4)]),
+    ]
+    for p, n, rows in cases:
+        forms = [LinearForm(p, r) for r in rows]
+        params = FieldParams(p, n)
+        tables = [RealTable(params, rng.integers(-4, 5, size=params.size) / 4) for _ in rows]
+        whole = system_product_mean(tables, forms)
+        with monkeypatch.context() as patch:
+            patch.setattr(forms_module, "GRID_CHUNK", 5)
+            sliced = system_product_mean(tables, forms)
+        assert sliced == whole
+        assert abs(whole - brute_product_mean(tables, forms)) < 1e-10

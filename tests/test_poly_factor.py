@@ -354,6 +354,26 @@ def test_defect_cauchy_schwarz():
         assert lhs >= a**2 + xi * eta**2 - 1e-12
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "2 2",  # short header
+        "2 2 1 1\n1 1 1 0",  # long header
+        "4 2 1\n1 1 1 0",  # p not prime
+        "2 2 2\n1 1 1 0",  # fewer polynomial lines than C
+        "2 2 1\n1 1 1 0\n1 1 0 1",  # more polynomial lines than C
+        "2 2 1\n2 1 1 0",  # term count above the groups given
+        "2 2 1\n1 1 1 0 1 0 1",  # term count below the groups given
+        "2 2 1\n-1",  # negative term count
+        "2 2 1\n1 1 1 x",  # not an integer
+    ],
+)
+def test_parse_factor_rejects_malformed_files(text):
+    with pytest.raises(ValueError):
+        parse_factor(text)
+
+
 def test_factor_file_round_trip():
     factor = fixtures.random_factor(3, 3, 2, 2, seed=18)
     text = dump_factor(factor)

@@ -99,6 +99,60 @@ def test_find_occurrence_randomized_mode():
         assert out.witness is None and not out.definitive
 
 
+def reference_randomized_search(f, ic, budget, seed):
+    """The randomized search one tuple at a time through eval_form: the
+    oracle for the blocked search."""
+    params = f.params
+    if any(s not in set(f.values.tolist()) for s in ic.sigma):
+        return tester.SearchOutcome(None, True)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    for _ in range(budget):
+        pts = tuple(index_to_vec(int(i), params)
+                    for i in rng.integers(0, params.size, size=ic.constraint.ell))
+        if all(f(eval_form(form, pts)) == lab for form, lab in zip(ic.constraint.forms, ic.sigma)):
+            return tester.SearchOutcome(make_witness(f, ic, pts), True)
+    return tester.SearchOutcome(None, False)
+
+
+@pytest.mark.parametrize("block", [tester.SEARCH_BLOCK, 7])
+def test_randomized_search_matches_per_tuple_loop(monkeypatch, block):
+    monkeypatch.setattr(tester, "SEARCH_BLOCK", block)
+    cases = [(fixtures.random_function(2, 4, 2, seed=s), ic)
+             for s in (1, 2) for ic in fixtures.derivative_collection(2).members[:8]]
+    cases += [(fixtures.random_function(3, 2, 3, seed=3), fixtures.ap_constraint(3, 3, (1, 2, 3))),
+              (fixtures.random_function(5, 2, 2, seed=4), fixtures.ap_constraint(5, 3, (1, 2, 1)))]
+    outcomes = []
+    for f, ic in cases:
+        for seed in range(4):
+            for budget in (0, 1, 7, 8, 15, 60):
+                got = find_induced_occurrence(f, ic, mode="randomized", budget=budget, seed=seed)
+                assert got == reference_randomized_search(f, ic, budget, seed)
+                outcomes.append(got)
+    # both outcomes occur: a witness found and an exhausted, non-definitive budget
+    assert any(o.witness for o in outcomes)
+    assert any(not o.definitive for o in outcomes)
+
+
+def test_randomized_search_hit_past_a_block(monkeypatch):
+    # label 2 only on the subspace {0, e_1, e_2, e_1 + e_2}: about one tuple in
+    # 512 induces the all-2 pattern, so first hits fall in later blocks
+    monkeypatch.setattr(tester, "SEARCH_BLOCK", 7)
+    params = FieldParams(2, 5)
+    f = FunctionTable(params, 2, np.where(np.arange(params.size) < 4, 2, 1))
+    ic = fixtures.blr_constraint(2, (2, 2, 2, 2))
+    ell = ic.constraint.ell
+    late = 0
+    for seed in range(10):
+        want = reference_randomized_search(f, ic, 3000, seed)
+        assert find_induced_occurrence(f, ic, mode="randomized", budget=3000, seed=seed) == want
+        assert want.witness
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+        draws = [tuple(index_to_vec(int(i), params) for i in row)
+                 for row in rng.integers(0, params.size, size=(3000, ell))]
+        late += draws.index(want.witness.points) >= 7
+    assert late >= 8
+
+
 def test_violation_density_examples():
     params = FieldParams(2, 2)
     f = FunctionTable(params, 2, np.full(4, 1))
@@ -140,9 +194,9 @@ def test_chunked_grid_walk_matches_whole_grid(monkeypatch):
     chunk_vars = []
     grid_point_indices = forms.grid_point_indices
 
-    def spy(constraint, params, chunk_var=None):
+    def spy(forms_, params, chunk_var=None):
         chunk_vars.append(chunk_var)
-        return grid_point_indices(constraint, params, chunk_var)
+        return grid_point_indices(forms_, params, chunk_var)
 
     monkeypatch.setattr(forms, "grid_point_indices", spy)
     monkeypatch.setattr(forms, "GRID_CHUNK", 8)
@@ -259,7 +313,7 @@ def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, b
     for ic in collection.members:
         a = ic.constraint
         if a not in grids:
-            grids[a] = grid_point_indices(a, sub) if sub.size**a.ell <= budget else None
+            grids[a] = grid_point_indices(a.forms, sub) if sub.size**a.ell <= budget else None
 
     def span_point(pts, c):
         acc = pts[0]
