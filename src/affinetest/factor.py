@@ -400,7 +400,12 @@ def parse_factor(text: str) -> tuple[PolynomialFactor, FieldParams]:
             raise ValueError(f"polynomial line needs a count k and k groups of {1 + n} integers")
         monos = {}
         for pos in range(1, len(tok), 1 + n):
-            monos[tuple(tok[pos + 1 : pos + 1 + n])] = tok[pos]
+            expts = tuple(tok[pos + 1 : pos + 1 + n])
+            if min(expts, default=0) < 0:
+                raise ValueError(f"negative exponent in monomial {expts}")
+            if expts in monos:
+                raise ValueError(f"monomial {expts} appears twice in one polynomial line")
+            monos[expts] = tok[pos]
         polys.append(Polynomial.from_monomials(p, n, monos))
     return PolynomialFactor(tuple(polys)), params
 

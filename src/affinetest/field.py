@@ -28,18 +28,32 @@ class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin for p < 2^64: the first twelve primes as
+    bases decide primality exactly below 3.18 * 10^23."""
+    if p >= 2**64:
+        raise ValueError(f"primality of {p} is decided only below 2^64")
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -51,6 +65,8 @@ class FieldParams:
     n: int
 
     def __post_init__(self):
+        if self.p >= 2**MAX_DOMAIN_BITS:
+            raise ValueError(f"p={self.p} overflows the index type (p < 2^{MAX_DOMAIN_BITS})")
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if self.n < 0:
@@ -148,7 +164,10 @@ class FunctionTable:
     def __post_init__(self):
         if self.range_size < 1:
             raise ValueError("range_size must be >= 1")
-        vals = np.asarray(self.values, dtype=np.int64)
+        try:
+            vals = np.asarray(self.values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("labels must lie in [1, R] and fit in int64") from None
         if vals.shape != (self.params.size,):
             raise ValueError(f"expected {self.params.size} values, got {vals.shape}")
         if vals.size and (vals.min() < 1 or vals.max() > self.range_size):
@@ -286,7 +305,7 @@ def _split_table(text: str, header: str) -> tuple[list[int], list[str]]:
 
 def parse_function_table(text: str) -> FunctionTable:
     (p, n, r), vals = _split_table(text, "p n R")
-    return FunctionTable(FieldParams(p, n), r, np.array([int(t) for t in vals], dtype=np.int64))
+    return FunctionTable(FieldParams(p, n), r, [int(t) for t in vals])
 
 
 def save_function_table(f: FunctionTable, path) -> None:

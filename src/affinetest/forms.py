@@ -16,7 +16,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, canonical_index, domain_coords, is_prime
+from .field import (
+    MAX_DOMAIN_BITS,
+    BudgetError,
+    FieldParams,
+    canonical_index,
+    domain_coords,
+    is_prime,
+)
 
 MAX_CS_FORMS = 8
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -388,8 +395,10 @@ def _parse_block(text: str, constraints: dict) -> tuple[InducedConstraint, int]:
     if len(head) != 4:
         raise ValueError(f"constraint header needs 4 integers 'p l m R', got {lines[0]!r}")
     p, ell, m, r = (int(t) for t in head)
-    if not is_prime(p) or ell < 1 or m < 1 or r < 1:
-        raise ValueError(f"constraint header {lines[0]!r} needs a prime p and l, m, R >= 1")
+    if p >= 2**MAX_DOMAIN_BITS or not is_prime(p) or ell < 1 or m < 1 or r < 1:
+        raise ValueError(
+            f"constraint header {lines[0]!r} needs a prime p < 2^{MAX_DOMAIN_BITS} and l, m, R >= 1"
+        )
     if len(lines) != m + 2:
         raise ValueError(f"constraint block has {len(lines)} lines, its header declares {m + 2}")
     key = (p, ell, tuple(lines[1 : m + 1]))

@@ -4,6 +4,15 @@ The reduction x^p = x is applied at construction, so exponents live in
 [0, p-1] and equality of Polynomial objects is equality of the functions'
 canonical representations.  Coefficients are stored in [1, p-1]; zero terms
 are dropped.
+
+Values on the whole domain come from one tensor transform, whatever the
+number of terms: the coefficients of the degree >= 2 terms are scattered to
+the canonical indices of their exponent vectors, and the p x p matrix
+V[x, e] = x^e mod p is applied along every coordinate they depend on (at
+p = 2, the binary Moebius transform).  That is top * p^top small-integer
+operations for the last coordinate `top` any of them touches (times the
+number of exponents in use per coordinate at p >= 3); the degree <= 1 part
+is a cheaper outer sum.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldParams, domain_coords
+from .field import FieldParams
 
 
 def _reduce_exponent(e: int, p: int) -> int:
@@ -111,32 +120,85 @@ class Polynomial:
 
 @lru_cache(maxsize=4096)
 def _poly_values(poly: Polynomial) -> np.ndarray:
-    params, p = poly.params, poly.p
-    # the degree <= 1 part as an outer sum, coordinate t + 1 at place value
-    # p^t, up to the last coordinate it depends on, then repeated over the
-    # rest of the domain; then one pass per higher term
+    """Values on F_p^n in canonical order, as a read-only int64 array.
+
+    The degree <= 1 part is an outer sum, coordinate t + 1 at place value
+    p^t, up to the last coordinate it depends on.  The degree >= 2 terms,
+    however many, go through one tensor transform (`_higher_values`): the
+    matrix V[x, e] = x^e mod p along each coordinate they touch, at most
+    top * p^top small-integer operations for the last one `top`.  The two
+    parts are summed and reduced at the larger of their two sizes, then
+    repeated over the coordinates neither depends on.
+    """
+    p = poly.p
     linear = poly.linear_part()
     top = max((t + 1 for t, c in enumerate(linear) if c), default=0)
     acc = np.array([poly.constant_part()], dtype=np.int64)
     digits = np.arange(p, dtype=np.int64)[:, None]
     for c in linear[:top]:
         acc = (acc + c * digits).ravel()
-    acc = np.tile(acc, p ** (params.n - top))
-    for e, c in poly.terms:
-        if sum(e) <= 1:
-            continue
-        coords = domain_coords(params)
-        term = np.full(params.size, c, dtype=np.int64)
-        for t, et in enumerate(e):
-            if et == 1:
-                term = term * coords[t] % p
-            elif et:
-                powers = np.array([pow(x, et, p) for x in range(p)], dtype=np.int64)
-                term = term * powers[coords[t]] % p
-        acc += term
-    acc %= p
+    _reduce(acc, p)
+    higher = [(e, c) for e, c in poly.terms if sum(e) > 1]
+    if higher:
+        part = _higher_values(higher, p)
+        both = np.empty(max(acc.size, p**part.ndim), dtype=part.dtype)
+        both.reshape(-1, acc.size)[...] = acc
+        both.reshape((-1,) + (p,) * part.ndim)[...] += part
+        acc = _reduce(both, p)
+    if acc.dtype != np.int64 or acc.size < p**poly.n:
+        out = np.empty(p**poly.n, dtype=np.int64)
+        out.reshape(-1, acc.size)[...] = acc
+        acc = out
     acc.setflags(write=False)
     return acc
+
+
+def _reduce(v: np.ndarray, p: int) -> np.ndarray:
+    """v mod p in place, for v >= 0: by floor division, which numpy runs
+    several times faster than its remainder on small integer dtypes."""
+    v -= v // p * p
+    return v
+
+
+def _higher_values(terms, p: int) -> np.ndarray:
+    """Sum of the given terms, reduced mod p, over the coordinates up to the
+    last one they depend on: an array of `top` axes, coordinate top first
+    (the C-order view of canonical order), of length 1 on the coordinates
+    no term depends on and p on the k others.
+
+    The coefficients are scattered to the canonical indices of their
+    exponent vectors restricted to those k coordinates, and each of them is
+    then transformed by the p x p matrix V[x, e] = x^e mod p (0^0 = 1)
+    along its axis, restricted to the exponents that occur there.  At p = 2
+    that is the binary Moebius transform, one XOR of half the array per
+    coordinate, done on the widest machine words the block size allows.  At
+    p >= 3 each coordinate is one small-integer einsum in a dtype that holds
+    p^3 (Python integers past uint64), so the sums of at most p products of
+    residues cannot overflow before the reduction.  The work is k passes
+    over p^k entries (times the number of exponents in use at p >= 3),
+    k <= top, however many terms there are.
+    """
+    used = sorted({t for e, _ in terms for t, et in enumerate(e) if et})
+    k = len(used)
+    dtype = next(
+        (d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if p**3 <= np.iinfo(d).max),
+        object,
+    )
+    v = np.zeros(p**k, dtype=dtype)
+    for e, c in terms:
+        v[sum(e[t] * p**j for j, t in enumerate(used))] = c
+    if p == 2:
+        for j in range(k):
+            w = min(j, 3)
+            half = v.view(f"u{2**w}").reshape(-1, 2, 2 ** (j - w))
+            half[:, 1, :] ^= half[:, 0, :]
+    else:
+        for j, t in enumerate(used):
+            exps = sorted({e[t] for e, _ in terms})
+            table = np.array([[pow(x, e, p) for e in exps] for x in range(p)], dtype=dtype)
+            axis = v.reshape(-1, p, p**j)[:, exps, :]
+            v = _reduce(np.einsum("xe,aeb->axb", table, axis).ravel(), p)
+    return v.reshape([p if t in used else 1 for t in reversed(range(used[-1] + 1))])
 
 
 def monomials_up_to_degree(p: int, n: int, d: int) -> list[tuple[int, ...]]:

@@ -316,3 +316,28 @@ def test_damaged_table_and_factor_files_exit_cleanly(tmp_path_factory, data):
     kind = data.draw(st.sampled_from(sorted(READERS)), label="kind")
     path = tmp_path_factory.getbasetemp() / f"damaged.{kind}"
     _read_damaged(path, kind, _damage(data, READERS[kind][0]))
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("function", "2 1 2\n1 99999999999999999999\n"),  # label beyond int64
+    ("function", "4611686018427388039 0 2\n1\n"),  # p beyond the index type
+    ("function", "18446744073709551629 0 2\n1\n"),  # p beyond 64 bits
+    ("function", "1000000000000000001 0 2\n1\n"),  # composite p, once a trial-division hang
+    ("factor", "2 2 1\n1 1 -1 0\n"),  # negative exponent, once read as 0
+    ("factor", "2 2 1\n2 1 1 0 1 1 0\n"),  # repeated monomial, once read as x1
+])
+def test_unreadable_files_are_usage_errors(tmp_path, capsys, kind, text):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    argv = [str(path) if a == "PATH" else a for a in READERS[kind][2]]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_huge_prime_table_is_read_at_once(tmp_path, capsys):
+    # a prime p near 10^18 loads (n = 0) and the command fails only on R != p
+    path = tmp_path / "huge.tab"
+    path.write_text("1000000000000000003 0 2\n1\n")
+    assert main(["distance", "--function", str(path), "--max-degree", "1"]) == 64
+    assert "R = p" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from affinetest.field import (
     dump_function_table,
     dump_real_table,
     fourier_means,
+    is_prime,
     parse_function_table,
     parse_real_table,
     RealTable,
@@ -145,6 +146,11 @@ def test_real_table_round_trip():
         (parse_function_table, "2 1 2 2\n1 2"),  # long header
         (parse_function_table, "2 1 2\n1 2\n1 2"),  # extra line
         (parse_function_table, "2 1 2\n1"),  # too few labels
+        (parse_function_table, "2 1 2\n1 99999999999999999999"),  # label beyond int64
+        (parse_function_table, "2 1 99999999999999999999\n1 99999999999999999999"),
+        (parse_function_table, "4611686018427388039 0 2\n1"),  # p beyond the index type
+        (parse_function_table, "18446744073709551629 0 2\n1"),  # p beyond 64 bits
+        (parse_function_table, "1000000000000000001 0 2\n1"),  # composite p near 10^18
         (parse_real_table, "2 1"),
         (parse_real_table, "2\n0.5 0.25"),
         (parse_real_table, "2 1 0\n0.5 0.25"),
@@ -155,6 +161,43 @@ def test_real_table_round_trip():
 def test_table_parsers_reject_malformed_files(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+def trial_division_is_prime(m: int) -> bool:
+    return m >= 2 and all(m % f for f in range(2, int(m**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [m for m in range(-3, 10**5) if is_prime(m)] == [
+        m for m in range(-3, 10**5) if trial_division_is_prime(m)
+    ]
+
+
+def test_is_prime_on_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+                  41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217,
+                  162401, 172081, 188461, 252601, 278545, 294409, 314821, 334153,
+                  340561, 399001, 410041, 449065, 488881, 512461]
+    assert not any(is_prime(m) for m in carmichael)
+    assert all(not trial_division_is_prime(m) for m in carmichael)
+    # strong pseudoprimes to every prime base up to 7, 13 and 23 respectively
+    for m in (3215031751, 3474749660383, 3825123056546413051):
+        assert not is_prime(m)
+    for m in (2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59):
+        assert is_prime(m)
+    for m in (2**62, (2**31 - 1) * (2**31 + 11), 2**64 - 1):
+        assert not is_prime(m)
+    with pytest.raises(ValueError):
+        is_prime(2**64)
+
+
+def test_field_params_bound_p_before_primality():
+    assert FieldParams(10**18 + 3, 0).size == 1
+    for p in (2**62 + 135, 2**62, 2**64 + 13, 10**40 + 1):
+        with pytest.raises(ValueError, match="index type"):
+            FieldParams(p, 0)
+    with pytest.raises(ValueError, match="not prime"):
+        FieldParams(10**18 + 1, 0)
 
 
 def test_table_validation():

@@ -411,6 +411,9 @@ def test_parse_collection_builds_each_constraint_once():
         "2 2 2 2\n1 0\n1 1\n1",  # short sigma
         "2 2 2 2\n1 0\n1 1\n1 2 1",  # long sigma
         "4 2 2 2\n1 0\n1 1\n1 2",  # p not prime
+        "1000000000000000001 2 2 2\n1 0\n1 1\n1 2",  # composite p near 10^18
+        "4611686018427388039 2 2 2\n1 0\n1 1\n1 2",  # prime p beyond the index type
+        "18446744073709551629 2 2 2\n1 0\n1 1\n1 2",  # prime p beyond 64 bits
         "0 2 2 2\n1 0\n1 1\n1 2",
         "2 0 2 2\n\n\n1 2",
         "2 2 0 2\n",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -24,7 +25,7 @@ from affinetest import (
     represents,
 )
 from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
-from affinetest.field import index_to_vec, unit_roots
+from affinetest.field import canonical_index, domain_coords, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
 from affinetest import fixtures
 
@@ -82,6 +83,126 @@ def test_polynomial_values_match_pointwise_evaluation(p, n, d):
         poly = fixtures.random_polynomial(p, n, d, rng)
         want = [poly.eval_point(index_to_vec(i, params)) for i in range(params.size)]
         assert poly.values().tolist() == want
+
+
+def reference_poly_values(poly):
+    """Per-term evaluator: the degree <= 1 part as an outer sum, then
+    np.full plus a multiply and a mod over the domain per variable of every
+    degree >= 2 term."""
+    params, p = poly.params, poly.p
+    linear = poly.linear_part()
+    top = max((t + 1 for t, c in enumerate(linear) if c), default=0)
+    acc = np.array([poly.constant_part()], dtype=np.int64)
+    digits = np.arange(p, dtype=np.int64)[:, None]
+    for c in linear[:top]:
+        acc = (acc + c * digits).ravel()
+    acc = np.tile(acc, p ** (params.n - top))
+    for e, c in poly.terms:
+        if sum(e) <= 1:
+            continue
+        coords = domain_coords(params)
+        term = np.full(params.size, c, dtype=np.int64)
+        for t, et in enumerate(e):
+            if et == 1:
+                term = term * coords[t] % p
+            elif et:
+                powers = np.array([pow(x, et, p) for x in range(p)], dtype=np.int64)
+                term = term * powers[coords[t]] % p
+        acc += term
+    acc %= p
+    acc.setflags(write=False)
+    return acc
+
+
+def assert_values_match_reference(poly):
+    got, want = poly.values(), reference_poly_values(poly)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (poly.p**poly.n,)
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+# n from 0 up to about 10^5 points per p
+SIZES = {2: (0, 1, 2, 5, 11, 16), 3: (0, 1, 2, 4, 7, 10), 5: (0, 1, 3, 5, 7), 7: (0, 1, 3, 6)}
+P_N = [(p, n) for p, ns in SIZES.items() for n in ns]
+
+
+@pytest.mark.parametrize("p,n", P_N)
+def test_values_of_zero_and_constant_polynomials(p, n):
+    assert_values_match_reference(Polynomial.zero(p, n))
+    for c in range(1, p):
+        poly = Polynomial.from_monomials(p, n, {(0,) * n: c})
+        assert_values_match_reference(poly)
+        assert set(poly.values().tolist()) == {c}
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_values_of_every_single_monomial(p, n):
+    # every exponent vector in [0, p - 1]^n, so each exponent at each
+    # coordinate, alone and together, and terms ending below coordinate n
+    rng = np.random.default_rng(p * 10 + n)
+    for e in itertools.product(range(p), repeat=n):
+        poly = Polynomial.from_monomials(p, n, {e: int(rng.integers(1, p))})
+        assert poly.terms and poly.terms[0][0] == e
+        assert_values_match_reference(poly)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in P_N if n >= 3])
+def test_values_of_terms_ending_below_n(p, n):
+    # the transform covers the first k coordinates and is repeated over the rest
+    rng = np.random.default_rng(p + 100 * n)
+    for k in (1, 2, 3):
+        low = fixtures.random_polynomial(p, k, min(2, (p - 1) * k), rng)
+        monos = {e + (0,) * (n - k): c for e, c in low.terms}
+        assert_values_match_reference(Polynomial.from_monomials(p, n, monos))
+        monos[(0,) * (n - 1) + (1,)] = 1  # with a linear part up to coordinate n
+        assert_values_match_reference(Polynomial.from_monomials(p, n, monos))
+    # a monomial skipping the coordinates in between
+    gap = Polynomial.from_monomials(p, n, {(1,) + (0,) * (n - 3) + (min(2, p - 1), 0): 1})
+    assert_values_match_reference(gap)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_values_of_random_polynomials_of_every_degree(p, n):
+    rng = np.random.default_rng(7 * p + n)
+    for d in range((p - 1) * n + 1):
+        for _ in range(3):
+            assert_values_match_reference(fixtures.random_polynomial(p, n, d, rng))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 16, 2), (2, 11, 3), (3, 10, 2), (3, 7, 4), (5, 7, 2), (7, 6, 2)])
+def test_values_of_random_polynomials_near_10_5_points(p, n, d):
+    assert_values_match_reference(fixtures.random_polynomial(p, n, d, np.random.default_rng(d)))
+
+
+def test_values_past_the_uint64_transform_dtype():
+    # p^3 > 2^64: the transform falls back to Python integers
+    p = 2642246
+    while not is_prime(p):
+        p += 1
+    assert p**3 > 2**64
+    poly = Polynomial.from_monomials(p, 1, {(2,): 5, (1,): 7, (0,): 3})
+    vals = poly.values()
+    assert vals.dtype == np.int64 and vals.shape == (p,) and not vals.flags.writeable
+    for x in [0, 1, 2, p - 1] + np.random.default_rng(0).integers(0, p, 20).tolist():
+        assert vals[x] == poly.eval_point((x,))
+
+
+@st.composite
+def polynomials_and_points(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, {2: 9, 3: 6, 5: 4, 7: 3}[p]))
+    expts = st.tuples(*[st.integers(0, 2 * p) for _ in range(n)])
+    monos = draw(st.dictionaries(expts, st.integers(-p, 2 * p), max_size=12))
+    x = draw(st.tuples(*[st.integers(0, p - 1) for _ in range(n)]))
+    return Polynomial.from_monomials(p, n, monos), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_and_points())
+def test_values_agree_with_pointwise_evaluation(case):
+    poly, x = case
+    assert poly.values()[canonical_index(x, poly.params)] == poly.eval_point(x)
 
 
 def test_cell_histogram_examples():
@@ -367,6 +488,10 @@ def test_defect_cauchy_schwarz():
         "2 2 1\n1 1 1 0 1 0 1",  # term count below the groups given
         "2 2 1\n-1",  # negative term count
         "2 2 1\n1 1 1 x",  # not an integer
+        "2 2 1\n1 1 -1 0",  # negative exponent
+        "2 2 1\n2 1 1 0 1 1 0",  # repeated monomial
+        "3 2 1\n2 1 0 1 2 0 1",  # repeated monomial, other coefficient
+        "4611686018427388039 0 0",  # p beyond the index type
     ],
 )
 def test_parse_factor_rejects_malformed_files(text):
