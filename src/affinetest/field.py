@@ -101,6 +101,20 @@ def index_to_vec(idx: int, params: FieldParams) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def index_digits(indices, params: FieldParams) -> np.ndarray:
+    """Coordinates of many points at once: shape (..., n) for `indices` of
+    shape (...), last axis x_1, ..., x_n (vectorized index_to_vec)."""
+    place = params.p ** np.arange(params.n, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[..., None] // place % params.p
+
+
+def canonical_indices(points, params: FieldParams) -> np.ndarray:
+    """Canonical indices of many points at once: shape (...) for `points` of
+    shape (..., n), coordinates reduced mod p (vectorized canonical_index)."""
+    place = params.p ** np.arange(params.n, dtype=np.int64)
+    return (np.asarray(points, dtype=np.int64) % params.p) @ place
+
+
 @lru_cache(maxsize=64)
 def domain_coords(params: FieldParams) -> np.ndarray:
     """(n, p^n) array: row i holds coordinate i+1 of every domain point."""
@@ -233,32 +247,45 @@ def disagreement_count(f: FunctionTable, g: FunctionTable) -> tuple[int, int]:
     return int(np.count_nonzero(f.values != g.values)), f.params.size
 
 
-def combination_indices(points, coeffs, p: int) -> np.ndarray:
+def combination_indices(indices, coeffs, params: FieldParams) -> np.ndarray:
     """Canonical indices of fixed linear combinations of many point tuples.
 
-    `points` has shape (..., l, n) and `coeffs` shape (k, l); entry i of the
-    result's last axis (shape (..., k)) is the index of sum_j coeffs[i, j]
-    x_j.  Indices accumulate one coordinate at a time, so memory stays at
-    one result-sized array.
+    `indices` has shape (..., l) and holds the canonical indices of the
+    points x_1, ..., x_l; `coeffs` has shape (k, l).  Entry i of the result's
+    last axis (shape (..., k)) is the index of sum_j coeffs[i, j] x_j.  No
+    coordinate array is built.  At p = 2, index(x + y) = index(x) XOR
+    index(y), so each combination is the XOR of the indices whose
+    coefficient is odd.  At p >= 3 each of n passes peels one radix-p digit
+    off every index (coordinate t + 1 of every point) and adds that
+    coordinate's combinations at place value p^t.
     """
-    pts = np.asarray(points, dtype=np.int64)
-    cols = np.asarray(coeffs, dtype=np.int64).T
-    idx = np.zeros(pts.shape[:-2] + cols.shape[1:], dtype=np.int64)
-    for t in range(pts.shape[-1]):
-        idx += (pts[..., t] @ cols % p) * p**t
-    return idx
+    p = params.p
+    idx = np.asarray(indices, dtype=np.int64)
+    cols = np.asarray(coeffs, dtype=np.int64).T % p
+    out = np.zeros(idx.shape[:-1] + cols.shape[1:], dtype=np.int64)
+    if p == 2:
+        for j, i in zip(*np.nonzero(cols)):
+            out[..., i] ^= idx[..., j]
+        return out
+    rest = idx
+    for t in range(params.n):
+        rest, digits = np.divmod(rest, p)
+        out += (digits @ cols % p) * p**t
+    return out
 
 
-def affine_span_indices(points, p: int) -> np.ndarray:
+def affine_span_indices(indices, params: FieldParams) -> np.ndarray:
     """Canonical indices of the affine spans of many point tuples at once.
 
-    `points` has shape (trials, l, n); row c of the result (trials, p^(l-1))
-    holds the index of x_1 + sum_j c_j x_(j+1) for every c in F_p^(l-1) in
-    canonical order.
+    `indices` has shape (trials, l) and holds canonical point indices; row c
+    of the result (trials, p^(l-1)) holds the index of x_1 + sum_j c_j
+    x_(j+1) for every c in F_p^(l-1) in canonical order, from one
+    combination_indices call.
     """
-    pts = np.asarray(points, dtype=np.int64)
-    span = domain_coords(FieldParams(p, pts.shape[-2] - 1)).T
-    return combination_indices(pts, np.hstack([np.ones((len(span), 1), np.int64), span]), p)
+    idx = np.asarray(indices, dtype=np.int64)
+    sub = FieldParams(params.p, idx.shape[-1] - 1)
+    span = index_digits(np.arange(sub.size), sub)
+    return combination_indices(idx, np.hstack([np.ones((len(span), 1), np.int64), span]), params)
 
 
 def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
@@ -275,7 +302,8 @@ def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
     for q in pts:
         if len(q) != n:
             raise ValueError("point dimension mismatch")
-    idx = affine_span_indices(np.array(pts, dtype=np.int64).reshape(1, len(pts), n), p)[0]
+    rows = canonical_indices(np.array(pts, dtype=np.int64).reshape(1, len(pts), n), f.params)
+    idx = affine_span_indices(rows, f.params)[0]
     return FunctionTable(FieldParams(p, len(pts) - 1), f.range_size, f.values[idx])
 
 

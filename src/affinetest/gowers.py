@@ -16,9 +16,11 @@ above U^2), so a charge by the transform's work would bound its time but
 not its memory.  No charge exceeds the p^(n(k+1)) tuples, so any call whose
 tuple space fits the budget is exact.  Monte-Carlo mode samples
 tuples (x, h_1, ..., h_k) from MC_STREAMS fixed logical RNG streams, so
-results are reproducible for a given seed; one field.combination_indices
-call per stream gives the index of x + sum_{i in S} h_i for all 2^k subsets
-S at once.  system_product_mean sums over the grid of its rank-reduced forms
+results are reproducible for a given seed.  The draws are canonical indices,
+and one field.combination_indices call per stream turns them into the index
+of x + sum_{i in S} h_i for all 2^k subsets S at once, with no coordinate
+array: at p = 2 by XOR of the drawn indices, at p >= 3 one radix-p digit
+per pass.  system_product_mean sums over the grid of its rank-reduced forms
 as forms.grid_slices hands it out, whole or one x_1 slice at a time.
 
 The U^1 "norm" is the seminorm |E f|; it is allowed here and flagged as such
@@ -40,6 +42,7 @@ from .field import (
     combination_indices,
     domain_coords,
     fourier_means,
+    index_digits,
     index_to_vec,
     unit_roots,
 )
@@ -134,9 +137,8 @@ def gowers_norm_values(
 def _gowers_monte_carlo(
     values: np.ndarray, params: FieldParams, k: int, samples: int, seed: int
 ) -> GowersResult:
-    coords = domain_coords(params)
     # row mask: x + sum of the h_i whose bit i is set in mask
-    masks = domain_coords(FieldParams(2, k)).T
+    masks = index_digits(np.arange(1 << k), FieldParams(2, k))
     combos = np.hstack([np.ones((len(masks), 1), dtype=np.int64), masks])
     conjugate = np.iscomplexobj(values) & ((k - masks.sum(axis=1)) % 2 == 1)
     per = [samples // MC_STREAMS] * MC_STREAMS
@@ -148,7 +150,7 @@ def _gowers_monte_carlo(
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, worker)))
         draws = rng.integers(0, params.size, size=(k + 1, count), dtype=np.int64)
-        terms = values[combination_indices(coords[:, draws.T].transpose(1, 2, 0), combos, params.p)]
+        terms = values[combination_indices(draws.T, combos, params)]
         prod = np.ones(count, dtype=values.dtype)
         for mask, conj in enumerate(conjugate):
             prod = prod * (np.conj(terms[:, mask]) if conj else terms[:, mask])

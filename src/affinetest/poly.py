@@ -26,7 +26,9 @@ from .field import FieldParams
 
 
 def _reduce_exponent(e: int, p: int) -> int:
-    if e <= 0:
+    if e < 0:
+        raise ValueError(f"exponent {e} is negative")
+    if e == 0:
         return 0
     return (e - 1) % (p - 1) + 1 if p > 2 else 1
 

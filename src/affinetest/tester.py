@@ -26,9 +26,10 @@ from .field import (
     FieldParams,
     FunctionTable,
     affine_span_indices,
+    canonical_indices,
     combination_indices,
     disagreement_count,
-    domain_coords,
+    index_digits,
     index_to_vec,
 )
 from .factor import PolynomialFactor, cell_index_array, cell_of_index
@@ -110,7 +111,7 @@ def _grid_tuples(flats: np.ndarray, ell: int, params: FieldParams) -> np.ndarray
     """Points (k, l, n) of the tuples at flat grid indices `flats`; grids lay
     x_1 on the most significant axis."""
     place = params.size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    return np.moveaxis(domain_coords(params)[:, flats[:, None] // place % params.size], 0, -1)
+    return index_digits(flats[:, None] // place % params.size, params)
 
 
 def find_induced_occurrence(
@@ -150,14 +151,13 @@ def find_induced_occurrence(
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     coeffs = [form.coeffs for form in a.forms]
-    place = params.p ** np.arange(params.n, dtype=np.int64)
     for start in range(0, budget, SEARCH_BLOCK):
         # one draw per block continues the stream of one draw per tuple
         draws = rng.integers(0, params.size, size=(min(SEARCH_BLOCK, budget - start), ell))
-        points = draws[:, :, None] // place % params.p
-        ok = np.all(f.values[combination_indices(points, coeffs, params.p)] == ic.sigma, axis=1)
+        ok = np.all(f.values[combination_indices(draws, coeffs, params)] == ic.sigma, axis=1)
         if ok.any():
-            return SearchOutcome(make_witness(f, ic, points[ok.argmax()].tolist()), True)
+            points = index_digits(draws[ok.argmax()], params).tolist()
+            return SearchOutcome(make_witness(f, ic, points), True)
     return SearchOutcome(None, False)
 
 
@@ -259,7 +259,7 @@ class _GridCheck:
         """Raise unless f(a_j(y)) = sigma_j for every lifted tuple y and form
         a_j, with sigma that of the member at the matching position."""
         coeffs = [form.coeffs for form in self.constraint.forms]
-        idx = combination_indices(lifted, coeffs, f.params.p)
+        idx = combination_indices(canonical_indices(lifted, f.params), coeffs, f.params)
         if not np.array_equal(f.values[idx], self.sigmas[positions]):
             raise ValueError("claimed witness does not evaluate to sigma")
 
@@ -317,7 +317,6 @@ def affine_subspace_test(
     checks = [c for c in checks if c.grids is not None and c.luts]
     widest = max((sub.size**c.constraint.ell for c in checks), default=1)
     block = max(1, forms.GRID_CHUNK // widest)
-    place = p ** np.arange(params.n, dtype=np.int64)
     rejections = 0
     inconclusive = 0
     first_witness: Witness | None = None
@@ -327,8 +326,7 @@ def affine_subspace_test(
             .integers(0, params.size, size=ell)
             for t in range(start, min(trials, start + block))
         ])
-        samples = draws[:, :, None] // place % p
-        values = f.values[affine_span_indices(samples, p)]
+        values = f.values[affine_span_indices(draws, params)]
         # per trial: first matching member, its first tuple and its check
         member = np.full(len(draws), none)
         flat = np.zeros(len(draws), dtype=np.int64)
@@ -345,7 +343,7 @@ def affine_subspace_test(
             sel = hits[owner[hits] == ci]
             if not sel.size:
                 continue
-            lifted = c.lift(samples[sel], flat[sel])
+            lifted = c.lift(index_digits(draws[sel], params), flat[sel])
             c.verify(f, lifted, member[sel])
             if first_witness is None and sel[0] == hits[0]:
                 first_witness = make_witness(f, members[member[sel[0]]], lifted[0].tolist())

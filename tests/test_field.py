@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinetest import (
     FieldParams,
@@ -14,9 +15,14 @@ from affinetest import (
     restrict_to_affine_span,
 )
 from affinetest.field import (
+    affine_span_indices,
+    canonical_indices,
+    combination_indices,
+    domain_coords,
     dump_function_table,
     dump_real_table,
     fourier_means,
+    index_digits,
     is_prime,
     parse_function_table,
     parse_real_table,
@@ -228,3 +234,59 @@ def test_fourier_means_matches_character_sums(p, n):
         want = vals @ chars / params.size
         assert np.abs(got[:, lam_idx] - want).max() < 1e-12
         assert abs(fourier_means(vals[1], params)[lam_idx] - want[1]) < 1e-12
+
+
+def reference_combination_indices(points, coeffs, p):
+    """The coordinate kernel: points (..., l, n), one coordinate of every
+    combination per pass; the oracle for the index kernel."""
+    pts = np.asarray(points, dtype=np.int64)
+    cols = np.asarray(coeffs, dtype=np.int64).T
+    idx = np.zeros(pts.shape[:-2] + cols.shape[1:], dtype=np.int64)
+    for t in range(pts.shape[-1]):
+        idx += (pts[..., t] @ cols % p) * p**t
+    return idx
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2), (7, 1)])
+def test_index_digits_and_canonical_indices_match_scalar_maps(p, n):
+    params = FieldParams(p, n)
+    idx = np.arange(params.size)
+    digits = index_digits(idx, params)
+    assert digits.shape == (params.size, n)
+    assert digits.tolist() == [list(index_to_vec(i, params)) for i in range(params.size)]
+    assert np.array_equal(digits, domain_coords(params).T)
+    assert np.array_equal(canonical_indices(digits, params), idx)
+    # unreduced coordinates are read mod p, as canonical_index reads them
+    assert np.array_equal(canonical_indices(digits + p * (digits % 2) - p, params), idx)
+    assert index_digits(idx.reshape(1, -1), params).shape == (1, params.size, n)
+
+
+@settings(max_examples=150)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(0, 6),
+    batch=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    ell=st.integers(1, 5),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_combination_indices_match_coordinate_kernel(p, n, batch, ell, k, seed):
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, params.size, size=tuple(batch) + (ell,))
+    # coefficients beyond [0, p) are read mod p
+    coeffs = rng.integers(-p, 2 * p, size=(k, ell))
+    got = combination_indices(idx, coeffs, params)
+    want = reference_combination_indices(index_digits(idx, params), coeffs % p, p)
+    assert got.shape == tuple(batch) + (k,) and got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,n,ell", [(2, 6, 1), (2, 6, 4), (3, 4, 3), (5, 3, 3)])
+def test_affine_span_indices_match_coordinate_kernel(p, n, ell):
+    params = FieldParams(p, n)
+    idx = np.random.default_rng(ell).integers(0, params.size, size=(9, ell))
+    span = domain_coords(FieldParams(p, ell - 1)).T
+    coeffs = np.hstack([np.ones((len(span), 1), np.int64), span])
+    want = reference_combination_indices(index_digits(idx, params), coeffs, p)
+    assert np.array_equal(affine_span_indices(idx, params), want)

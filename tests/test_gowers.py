@@ -220,6 +220,66 @@ def test_monte_carlo_matches_per_mask_loop(p, n, k):
             assert got == reference_monte_carlo(values, t.params, k, samples, seed)
 
 
+def reference_monte_carlo_by_coords(values, params, k, samples, seed):
+    """The coordinate Monte-Carlo body: every drawn index gathered into its
+    coordinates from domain_coords, then each mask's combination summed one
+    coordinate at a time; the oracle for the index kernel."""
+    p, n = params.p, params.n
+    coords = domain_coords(params)
+    masks = domain_coords(FieldParams(2, k)).T
+    cols = np.hstack([np.ones((len(masks), 1), dtype=np.int64), masks]).T
+    conjugate = np.iscomplexobj(values) & ((k - masks.sum(axis=1)) % 2 == 1)
+    per = [samples // MC_STREAMS] * MC_STREAMS
+    for i in range(samples % MC_STREAMS):
+        per[i] += 1
+    chunks = []
+    for worker, count in enumerate(per):
+        if count == 0:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, worker)))
+        draws = rng.integers(0, params.size, size=(k + 1, count), dtype=np.int64)
+        pts = coords[:, draws.T].transpose(1, 2, 0)
+        idx = np.zeros((count, len(masks)), dtype=np.int64)
+        for t in range(n):
+            idx += (pts[..., t] @ cols % p) * p**t
+        terms = values[idx]
+        prod = np.ones(count, dtype=values.dtype)
+        for mask, conj in enumerate(conjugate):
+            prod = prod * (np.conj(terms[:, mask]) if conj else terms[:, mask])
+        chunks.append(prod)
+    sample_vals = np.concatenate(chunks)
+    if np.iscomplexobj(sample_vals):
+        sample_vals = sample_vals.real
+    mean = float(sample_vals.mean())
+    sd = float(sample_vals.std(ddof=1)) if samples > 1 else 0.0
+    root = 1.0 / (1 << k)
+    stderr = sd / np.sqrt(samples) * root * mean ** (root - 1.0) if mean > 0 else float("inf")
+    return GowersResult(max(mean, 0.0) ** root, float(stderr), "monte_carlo", samples, seed)
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (3, 5), (5, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_monte_carlo_matches_coordinate_body(p, n, k):
+    t = fixtures.random_real_table(p, n, seed=7 * p + n)
+    phases = np.exp(2j * np.pi * fixtures.random_real_table(p, n, seed=k + 20).values)
+    for values in (t.values - 0.25, t.values * phases):
+        for samples in (1, 17, 50_000):
+            got = gowers_norm_values(values, t.params, k, mode="monte_carlo",
+                                     samples=samples, seed=k)
+            want = reference_monte_carlo_by_coords(values, t.params, k, samples, k)
+            assert (got.value, got.stderr) == (want.value, want.stderr)
+            assert got == want
+
+
+def test_monte_carlo_builds_no_coordinate_array():
+    # at p = 2, n = 20 the coordinate array alone would be 20 x 2^20 int64 (160 MB)
+    t = RealTable(FieldParams(2, 20), np.linspace(-1.0, 1.0, 1 << 20))
+    domain_coords.cache_clear()
+    res = gowers_norm(t, 2, mode="monte_carlo", samples=2000, seed=1)
+    assert res.mode == "monte_carlo" and res.samples == 2000
+    assert domain_coords.cache_info().currsize == 0
+
+
 def test_polynomial_bias_examples():
     assert polynomial_bias(Polynomial.zero(2, 3)) == 1.0
     assert polynomial_bias(Polynomial.coordinate(2, 4, 1)) == 0.0

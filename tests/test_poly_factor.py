@@ -43,6 +43,12 @@ def test_polynomial_canonical_form():
     assert Polynomial.zero(5, 2).degree == 0
 
 
+@pytest.mark.parametrize("p,n,expts", [(2, 1, (-1,)), (3, 2, (1, -2)), (5, 3, (0, 0, -7))])
+def test_polynomial_rejects_negative_exponents(p, n, expts):
+    with pytest.raises(ValueError, match="negative"):
+        Polynomial.from_monomials(p, n, {expts: 1})
+
+
 def test_polynomial_degree_and_parts():
     poly = Polynomial.from_monomials(3, 3, {(1, 1, 0): 2, (0, 0, 1): 1, (0, 0, 0): 2})
     assert poly.degree == 2
