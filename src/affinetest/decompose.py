@@ -267,7 +267,9 @@ def _gowers_certified(
                 break
         if not stepped:
             break
-    _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
+    else:
+        # the loop ran out on a step, so cur changed after the last norms
+        _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
     certified = all(_within(g, eta_fn(cur.complexity)) for g in norms)
     if trace is not None and not certified:
         trace.append({"event": "gowers_budget_exhausted", "size": cur.complexity})

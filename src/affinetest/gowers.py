@@ -7,9 +7,13 @@ Exact mode reduces U^k by derivatives to U^2,
     Delta_h f(x) = f(x + h) conj f(x),        ||g||_{U^2}^4 = sum_lambda |g^(lambda)|^4,
 
 with every Fourier coefficient g^(lambda) from one field.fourier_means call,
-so the radicand is a sum of non-negative terms.  Exact mode is charged
-against its budget by exact_charge: U^1 and U^2 the p^n entries handed to
-that transform times its one pass per coordinate, max(n, 1) * p^n; U^k for
+so the radicand is a sum of non-negative terms.  Each derivative level is
+one gather: a table minus[h, x] = index(x - h), from one
+field.combination_indices call over the pairs (x, h), picks g(x - h) for
+every h at once, and that times conj g(x) is the next level, with h on a
+new leading axis.  Exact mode is charged against its budget by
+exact_charge: U^1 and U^2 the p^n entries handed to that transform times
+its one pass per coordinate, max(n, 1) * p^n; U^k for
 k >= 3 the p^(n(k+1)) tuples it averages over, because it holds its whole
 p^(n(k-1))-entry derivative stack at once (p^n derivative tables per level
 above U^2), so a charge by the transform's work would bound its time but
@@ -28,7 +32,6 @@ in the documentation only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +43,6 @@ from .field import (
     FieldParams,
     RealTable,
     combination_indices,
-    domain_coords,
     fourier_means,
     index_digits,
     index_to_vec,
@@ -82,16 +84,18 @@ class CorrelationWitness:
 
 
 def _exact_radicand(values: np.ndarray, params: FieldParams, k: int) -> float:
-    p, n = params.p, params.n
-    if k == 1 or n == 0:
+    if k == 1 or params.n == 0:
         return abs(np.mean(values)) ** (1 << k)
-    cube = values.reshape((p,) * n)
-    axes = tuple(range(-n, 0))
-    shifts = list(itertools.product(range(p), repeat=n))
-    for _ in range(k - 2):
-        # one new leading axis per level: Delta_h g(x) = g(x - h) conj g(x) for every h
-        cube = np.stack([np.roll(cube, h, axis=axes) for h in shifts]) * np.conj(cube)
-    fourth = np.abs(fourier_means(cube.reshape(-1, params.size), params)) ** 4
+    stack = values
+    if k >= 3:
+        # minus[h, x]: the index of x - h, from the pair (x, h) with coefficients (1, -1)
+        pts = np.arange(params.size)
+        pairs = np.stack(np.broadcast_arrays(pts, pts[:, None]), axis=-1)
+        minus = combination_indices(pairs, [[1, -1]], params)[..., 0]
+        for _ in range(k - 2):
+            # one new leading axis per level: Delta_h g(x) = g(x - h) conj g(x) for every h
+            stack = np.moveaxis(stack[..., minus], -2, 0) * np.conj(stack)
+    fourth = np.abs(fourier_means(stack.reshape(-1, params.size), params)) ** 4
     return float(fourth.sum(axis=1).mean())
 
 
@@ -231,15 +235,18 @@ def inverse_gowers_search(
         [Polynomial.from_monomials(p, n, {e: 1}).values() for e in higher], dtype=np.int64
     ).reshape(len(higher), params.size)
     # row q: the degree >= 2 part whose coefficients are the little-endian digits of q
-    q_vals = domain_coords(FieldParams(p, len(higher))).T @ mono_vals % p
+    q_vals = index_digits(np.arange(p ** len(higher)), FieldParams(p, len(higher))) @ mono_vals % p
     scores = np.abs(fourier_means(f.values * unit_roots(p)[q_vals], params))
     if d == 0:
         scores = scores[:, :1]
     else:
         # column r: the linear part whose coefficients of x_n, ..., x_1 are the
         # little-endian digits of r, i.e. lambda with its digits reversed
-        coords = domain_coords(params)
-        scores = scores[:, p ** np.arange(n) @ coords[::-1]]
+        rest, reversed_lam = np.arange(params.size), np.zeros(params.size, dtype=np.int64)
+        for _ in range(n):
+            rest, digit = np.divmod(rest, p)
+            reversed_lam = reversed_lam * p + digit
+        scores = scores[:, reversed_lam]
     # flat index q * p^n + r is the coefficient vector's index divided by p
     flat = scores.ravel()
     best = int(np.argmax(flat >= (1.0 - TIE_RTOL) * flat.max()))

@@ -205,10 +205,26 @@ def _higher_values(terms, p: int) -> np.ndarray:
 
 def monomials_up_to_degree(p: int, n: int, d: int) -> list[tuple[int, ...]]:
     """Canonical reduced monomials of total degree <= d, sorted by
-    (degree, exponent vector); the constant monomial comes first."""
-    monos = [
-        e
-        for e in itertools.product(range(min(p - 1, d) + 1), repeat=n)
-        if sum(e) <= d
-    ]
-    return sorted(monos, key=lambda e: (sum(e), e))
+    (degree, exponent vector); the constant monomial comes first.
+
+    Only the exponent vectors of degree <= d are visited: the degree-t ones
+    are the multisets of t coordinates (sets at p = 2) with no coordinate
+    taken more than p - 1 times.  Itertools lists them in lexicographic order
+    of the sorted coordinates, the reverse of their exponent vectors' order.
+    """
+    top = min(p - 1, d)
+    out = []
+    for t in range(d + 1):
+        if top == 1:
+            picks = itertools.combinations(range(n), t)
+        else:
+            picks = itertools.combinations_with_replacement(range(n), t)
+        level = []
+        for pick in picks:
+            e = [0] * n
+            for i in pick:
+                e[i] += 1
+            if max(e, default=0) <= top:
+                level.append(tuple(e))
+        out += reversed(level)
+    return out

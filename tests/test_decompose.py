@@ -227,6 +227,32 @@ def test_monte_carlo_certificates_carry_their_margin(monkeypatch, case):
         assert all(gowers_norm(t, 2).value <= certs.gowers_bound for t in res.f2)
 
 
+def test_gowers_certification_takes_each_factors_norms_once(monkeypatch):
+    # the norms of a factor are recomputed only after a step changed it, and
+    # the returned norms are those of the returned factor
+    take_norms = decompose._slice_gowers
+    seen = []
+
+    def counted(fs, factor, k, seed):
+        seen.append(factor)
+        return take_norms(fs, factor, k, seed)
+
+    monkeypatch.setattr(decompose, "_slice_gowers", counted)
+    fs = fixtures.random_function(2, 6, 2, seed=3).slices()
+    # the size budget binds; no witness is left; certified at once; the
+    # iterations run out on a step
+    for size, eta, iters in ((2, 0.01, 5), (8, lambda c: -1.0, 5), (8, 1.0, 5), (8, 0.01, 1)):
+        cfg = DecompositionConfig(degree=1, delta=0.2, eta=eta, max_factor_size=size,
+                                  max_iterations=iters)
+        seen.clear()
+        cur, norms, _ = decompose._gowers_certified(
+            fs, PolynomialFactor.trivial(), cfg.eta_fn(), 1, cfg, None
+        )
+        assert len(seen) == len(set(seen))
+        assert seen[-1] == cur
+        assert norms == take_norms(fs, cur, 2, cfg.seed)[1]
+
+
 def _degenerate_result(f):
     """Super result over measurable f, then a zero polynomial appended so the
     fine factor is a proper (but partition-trivial) refinement."""

@@ -236,6 +236,71 @@ def test_fourier_means_matches_character_sums(p, n):
         assert abs(fourier_means(vals[1], params)[lam_idx] - want[1]) < 1e-12
 
 
+def reference_fourier_means(values, params):
+    """One inverse FFT over the (p,)*n cube; the oracle for the p = 2
+    butterfly, which must match it bit for bit."""
+    v = np.asarray(values)
+    if params.n == 0:
+        return v.astype(complex)
+    cube = v.reshape(v.shape[:-1] + (params.p,) * params.n)
+    return np.fft.ifftn(cube, axes=tuple(range(-params.n, 0))).reshape(v.shape)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.real, want.real)
+    assert np.array_equal(got.imag, want.imag)
+    assert np.array_equal(np.abs(got), np.abs(want))
+
+
+def fourier_inputs(rng, shape):
+    """float64, int64, +-1-phase complex and random complex tables."""
+    return (
+        rng.uniform(-1, 1, shape),
+        rng.integers(-7, 8, shape),
+        np.array([1.0, -1.0], dtype=complex)[rng.integers(0, 2, shape)],
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+    )
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_fourier_means_butterfly_is_bitwise_ifftn(n):
+    params = FieldParams(2, n)
+    rng = np.random.default_rng(n)
+    for batch in ((), (3,), (2, 3)):
+        for vals in fourier_inputs(rng, batch + (params.size,)):
+            assert_bitwise_equal(fourier_means(vals, params), reference_fourier_means(vals, params))
+
+
+def test_fourier_means_butterfly_reads_any_memory_layout():
+    # a transposed (F-ordered) batch must be transformed, not a copy of it
+    params = FieldParams(2, 5)
+    vals = np.random.default_rng(3).normal(size=(params.size, 4)).T
+    assert_bitwise_equal(fourier_means(vals, params), reference_fourier_means(vals, params))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 10),
+    batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    kind=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fourier_means_butterfly_is_bitwise_ifftn_property(n, batch, kind, seed):
+    params = FieldParams(2, n)
+    vals = fourier_inputs(np.random.default_rng(seed), batch + (params.size,))[kind]
+    assert_bitwise_equal(fourier_means(vals, params), reference_fourier_means(vals, params))
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 1), (3, 4), (5, 1), (5, 3)])
+def test_fourier_means_unchanged_at_odd_p(p, n):
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(p + n)
+    for batch in ((), (2, 3)):
+        for vals in fourier_inputs(rng, batch + (params.size,)):
+            assert_bitwise_equal(fourier_means(vals, params), reference_fourier_means(vals, params))
+
+
 def reference_combination_indices(points, coeffs, p):
     """The coordinate kernel: points (..., l, n), one coordinate of every
     combination per pass; the oracle for the index kernel."""

@@ -15,7 +15,7 @@ from affinetest import (
     polynomial_bias,
     system_product_mean,
 )
-from affinetest.field import BudgetError, domain_coords, index_to_vec
+from affinetest.field import BudgetError, domain_coords, fourier_means, index_to_vec
 from affinetest.gowers import (
     DEFAULT_EXACT_BUDGET,
     MC_STREAMS,
@@ -27,6 +27,7 @@ from affinetest.poly import monomials_up_to_degree
 from affinetest.forms import eval_form
 from affinetest import fixtures
 from affinetest import forms as forms_module
+from affinetest import gowers as gowers_module
 
 
 def reference_gowers(values, params, k):
@@ -278,6 +279,54 @@ def test_monte_carlo_builds_no_coordinate_array():
     res = gowers_norm(t, 2, mode="monte_carlo", samples=2000, seed=1)
     assert res.mode == "monte_carlo" and res.samples == 2000
     assert domain_coords.cache_info().currsize == 0
+
+
+def reference_radicand_by_roll(values, params, k):
+    """Exact ||f||_{U^k}^{2^k} with the derivative stack built by one np.roll
+    of the (p,)*n cube per shift h; the oracle for the gathered stack."""
+    p, n = params.p, params.n
+    cube = values.reshape((p,) * n)
+    axes = tuple(range(-n, 0))
+    shifts = list(itertools.product(range(p), repeat=n))
+    for _ in range(k - 2):
+        cube = np.stack([np.roll(cube, h, axis=axes) for h in shifts]) * np.conj(cube)
+    fourth = np.abs(fourier_means(cube.reshape(-1, params.size), params)) ** 4
+    return float(fourth.sum(axis=1).mean())
+
+
+@pytest.mark.parametrize("p,n,k", [
+    (2, 1, 3), (2, 5, 3), (2, 8, 3), (2, 3, 4), (2, 5, 4), (2, 2, 5), (2, 3, 5),
+    (3, 2, 3), (3, 4, 3), (3, 3, 4), (3, 2, 5), (5, 2, 3), (5, 2, 4), (7, 1, 5),
+])
+def test_exact_radicand_matches_roll_stack(p, n, k):
+    t = fixtures.random_real_table(p, n, seed=p + 10 * n + 100 * k)
+    phases = np.exp(2j * np.pi * fixtures.random_real_table(p, n, seed=k).values)
+    for values in (t.values - 0.5, t.values * phases):
+        want = reference_radicand_by_roll(values, t.params, k) ** (1.0 / (1 << k))
+        got = gowers_norm_values(values, t.params, k, budget=exact_charge(t.params, k))
+        assert got.value == want
+
+
+def test_exact_u2_builds_no_derivative_table(monkeypatch):
+    # the p^n x p^n table of x - h is needed only for k >= 3; exact U^2
+    # runs up to n = 21 at p = 2, where that table would be 2^42 entries
+    def refuse(*args):
+        raise AssertionError("derivative table built for U^2")
+
+    monkeypatch.setattr(gowers_module, "combination_indices", refuse)
+    t = fixtures.random_real_table(2, 6, seed=1)
+    assert gowers_norm(t, 2).mode == "exact"
+
+
+def test_inverse_search_builds_no_coordinate_array():
+    # at p = 2, n = 16 the coordinate array would be 16 x 2^16 int64 (8 MB)
+    params = FieldParams(2, 16)
+    t = RealTable(params, np.cos(np.arange(params.size) * 0.37))
+    domain_coords.cache_clear()
+    w = inverse_gowers_search(t, 1)
+    assert domain_coords.cache_info().currsize == 0
+    assert w.polynomial.degree <= 1
+    assert abs(w.correlation - np.abs(fwht(t.values)).max() / params.size) < 1e-12
 
 
 def test_polynomial_bias_examples():

@@ -27,6 +27,7 @@ from affinetest import (
 from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
 from affinetest.field import canonical_index, domain_coords, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
+from affinetest.poly import monomials_up_to_degree
 from affinetest import fixtures
 
 
@@ -47,6 +48,20 @@ def test_polynomial_canonical_form():
 def test_polynomial_rejects_negative_exponents(p, n, expts):
     with pytest.raises(ValueError, match="negative"):
         Polynomial.from_monomials(p, n, {expts: 1})
+
+
+def reference_monomials(p, n, d):
+    """Every exponent vector in [0, min(p - 1, d)]^n, filtered to degree <= d
+    and sorted; the oracle for the degree-bounded enumeration."""
+    monos = [e for e in itertools.product(range(min(p - 1, d) + 1), repeat=n) if sum(e) <= d]
+    return sorted(monos, key=lambda e: (sum(e), e))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_monomials_up_to_degree_match_filtered_product(p):
+    for n in range(7):
+        for d in range(-1, 5):
+            assert monomials_up_to_degree(p, n, d) == reference_monomials(p, n, d)
 
 
 def test_polynomial_degree_and_parts():
