@@ -10,6 +10,7 @@ the consistency predicate for tuples of cell images.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -459,16 +460,13 @@ def _scaled_indices(c: int, x, params: FieldParams) -> np.ndarray:
     return p ** np.arange(params.n, dtype=np.int64) @ (c * domain_coords(params)[:, x] % p)
 
 
-def grid_point_indices(
-    forms: Sequence[LinearForm], params: FieldParams, chunk_var: int | None = None
-) -> list[np.ndarray]:
+def grid_point_indices(forms: Sequence[LinearForm], params: FieldParams) -> list[np.ndarray]:
     """Per-form arrays of canonical point indices of a_j(x_1, ..., x_l) over
     the full tuple grid (F_p^n)^l laid out with x_1 as the most significant
     axis (lexicographic order).  The forms share l but may carry any
-    coefficient on x_1.
-
-    With chunk_var set, the grid is restricted to a fixed canonical index of
-    x_1 (used to walk large grids one slice at a time; see grid_slices).
+    coefficient on x_1.  This costs 8 bytes per tuple per form, so it serves
+    only small grids that are built once and read many times (the tester's
+    restriction grids); scans go through grid_slices instead.
 
     The indices are combined directly, with no pass per digit.  Canonical
     indices are little-endian radix p, so index(x + y) is digit-wise
@@ -476,47 +474,156 @@ def grid_point_indices(
     variable per axis, at p = 2 by a broadcast XOR with index(x_k), at
     p >= 3 by a gather of rows of the sum table add[i, j] = index(x_i + x_j)
     whose columns are permuted by index(c * x) for a coefficient c != 1.  The
-    table has p^(2n) entries and is built only once the index so far has a
-    free axis, so the grid has at least two and the table is never larger
-    than it; with one free axis (x_1 fixed, l = 2) only the p^n-entry row of
-    the fixed index(c_1 * x_1) is built.
+    table has p^(2n) entries and is built only for a coefficient past x_1,
+    so the grid has at least two axes and the table is never larger than it.
     """
     p, size = params.p, params.size
     every = np.arange(size, dtype=np.int64)
-    x1 = every if chunk_var is None else np.array(chunk_var, dtype=np.int64)
     table = None
     out = []
     for f in forms:
-        acc = _scaled_indices(f.coeffs[0], x1, params)  # a_j over the variables read so far
+        acc = _scaled_indices(f.coeffs[0], every, params)  # a_j over the variables read so far
         for c in f.coeffs[1:]:
             if not c:
                 acc = np.repeat(acc[..., None], size, axis=-1)
             elif p == 2:
                 acc = acc[..., None] ^ every
             else:
-                if acc.ndim:
-                    if table is None:
-                        table = _sum_rows(every, params)
-                    rows, at = table, acc
-                else:
-                    rows, at = _sum_rows(acc[None], params), 0
-                if c != 1:
-                    rows = rows[:, _scaled_indices(c, every, params)]
-                acc = rows[at]
+                if table is None:
+                    table = _sum_rows(every, params)
+                rows = table if c == 1 else table[:, _scaled_indices(c, every, params)]
+                acc = rows[acc]
         out.append(acc.ravel())
     return out
 
 
+def _row_table(values: np.ndarray, params: FieldParams) -> np.ndarray:
+    """(p^n, p^n) table T[i, y] = values[index(x_i + y)], in the dtype of
+    `values` and with no index array.
+
+    Built one digit of x_i at a time: with its digits below k placed, row
+    i + e * p^k is row i with digit k of the column index moved by e mod p,
+    i.e. one rotation of a length-p axis, so each pass is 2p block copies
+    and the passes' sizes grow geometrically.
+    """
+    p = params.p
+    rows = values[None, :]
+    for k in range(params.n):
+        src = rows.reshape(len(rows), -1, p, p**k)
+        out = np.empty((p,) + src.shape, dtype=values.dtype)
+        for e in range(p):
+            out[e, :, :, : p - e] = src[:, :, e:]
+            out[e, :, :, p - e :] = src[:, :, :e]
+        rows = out.reshape(-1, params.size)
+    return rows
+
+
+class _FormViews:
+    """Each form's table read as an array that broadcasts over the tuple
+    grid, without a per-tuple index; see grid_slices.  The scaled index
+    permutations, the row tables and the views of forms free of x_1 do not
+    depend on the x_1 slice and are built once."""
+
+    def __init__(self, tables, forms, params: FieldParams, span: int):
+        self.tables, self.forms, self.params = tables, forms, params
+        self.every = np.arange(params.size, dtype=np.int64)
+        self.use_tables = params.size**2 <= span  # no row table beyond the grid or slice
+        self._scaled: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
+        self._free_of_x1 = {j: self.view(j, None) for j, f in enumerate(forms) if not f.coeffs[0]}
+
+    def scaled(self, c: int) -> np.ndarray:
+        if c not in self._scaled:
+            self._scaled[c] = _scaled_indices(c, self.every, self.params)
+        return self._scaled[c]
+
+    def shifted(self, values: np.ndarray, prefix: np.ndarray, c: int) -> np.ndarray:
+        """values[index(x + c * y)] for the points x with indices `prefix`
+        and every y, on a new last axis: rows of the row table when it may
+        be built, else gathered through one index row per prefix entry."""
+        if self.use_tables:
+            key = (id(values), c)
+            if key not in self._rows:
+                rows = _row_table(values, self.params)
+                self._rows[key] = rows if c == 1 else rows[:, self.scaled(c)]
+            return self._rows[key][prefix]
+        if self.params.p == 2:
+            idx = prefix[..., None] ^ self.every
+        else:
+            idx = _sum_rows(prefix.ravel(), self.params)[:, self.scaled(c)]
+        return values[idx.reshape(prefix.shape + (-1,))]
+
+    def view(self, j: int, x1: int | None) -> np.ndarray:
+        """Form j's table over the grid, or over the slice at x_1 = x1."""
+        coeffs, values = self.forms[j].coeffs, self.tables[j]
+        used = [i for i, c in enumerate(coeffs) if c]
+        if not used:
+            return values[:1].reshape((1,) * len(coeffs))
+        i, *rest = used
+        points = self.every if i or x1 is None else np.array([x1], dtype=np.int64)
+        acc = self.scaled(coeffs[i])[points].reshape((1,) * i + (-1,))  # index over axes <= i
+        if not rest:
+            return _pad(values[acc], len(coeffs))
+        *rest, last = rest
+        for i in rest:
+            acc = _pad(acc, i)
+            if self.params.p == 2:
+                acc = acc[..., None] ^ self.every
+            else:
+                acc = self.shifted(self.every, acc, coeffs[i])
+        return _pad(self.shifted(values, _pad(acc, last), coeffs[last]), len(coeffs))
+
+    def slice(self, x1: int | None) -> Iterator[np.ndarray]:
+        """Every form's view over the whole grid (x1 None) or one x_1 slice,
+        built one at a time as the caller asks for it."""
+        return (self._free_of_x1[j] if j in self._free_of_x1 else self.view(j, x1)
+                for j in range(len(self.forms)))
+
+
+def _pad(a: np.ndarray, ndim: int) -> np.ndarray:
+    """`a` with length-1 axes appended up to `ndim` axes."""
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+
+
 def grid_slices(
-    forms: Sequence[LinearForm], params: FieldParams
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """The tuple grid of `forms` as (offset, grid_point_indices arrays) pairs:
-    the whole grid at offset 0 when it has at most GRID_CHUNK tuples, else
-    one x_1 slice at a time, offset being the flat index of the slice's
-    first tuple."""
-    step = params.size ** (forms[0].ell - 1)
-    for x1 in [None] if params.size * step <= GRID_CHUNK else range(params.size):
-        yield (x1 or 0) * step, grid_point_indices(forms, params, chunk_var=x1)
+    tables: Sequence[np.ndarray], forms: Sequence[LinearForm], params: FieldParams, op
+) -> Iterator[tuple[int, tuple[int, ...], np.ndarray]]:
+    """op(v_1, ..., v_m) over the tuple grid of `forms`, v_j the view of
+    tables[j] at a_j(x): yields (offset, shape, result) per piece, the whole
+    grid of shape (p^n,)*l at offset 0 when it has at most GRID_CHUNK
+    tuples, else one x_1 slice of shape (1,) + (p^n,)*(l-1) at a time,
+    offset being the flat index (C order, x_1 most significant) of its
+    first tuple.  The result broadcasts to `shape` but may have length 1
+    on an axis that no form reads.
+
+    A view reads its table directly.  With x_k the last variable of a_j,
+    a_j = prefix + c_k x_k, and the view is T[prefix] for the p^n x p^n
+    row table T[i, y] = table[index(x_i + c_k y)], with length 1 on every
+    axis a_j does not use: the prefix index is combined over only the axes
+    with a nonzero coefficient, by broadcast XOR at p = 2 and by rows of the
+    index row table at p >= 3.  A zero form reads table[0].  A row table is
+    built only when its p^(2n) entries fit in the grid or slice; otherwise
+    (an l = 2 grid walked by slices) one p^n row is gathered per slice.
+    The views are built one at a time and folded into the result, so a
+    piece holds the result and one view, each at most one entry per tuple
+    in the tables' dtype, plus row tables no larger than the piece: about
+    two bytes per tuple for boolean masks, where grid_point_indices takes
+    8 bytes per tuple per form.
+    """
+    size = params.size
+    step = size ** (forms[0].ell - 1)
+    sliced = size * step > GRID_CHUNK
+    views = _FormViews(tables, forms, params, step if sliced else size * step)
+    shape = (1 if sliced else size,) + (size,) * (forms[0].ell - 1)
+    for x1 in range(size) if sliced else [None]:
+        each = views.slice(x1)
+        out = next(each)
+        for i, v in enumerate(each):
+            if i and np.broadcast_shapes(out.shape, v.shape) == out.shape:
+                op(out, v, out=out)  # out is op's own array from here on
+            else:
+                out = op(out, v)
+        yield (x1 or 0) * step, shape, out
 
 
 def grid_matches(
@@ -541,17 +648,20 @@ def scan_grid(
 
     Returns the flat index of the first match in lexicographic order (x_1
     most significant), or None, when `first`; otherwise the number of
-    matches.  The grid comes from grid_slices, whole or one x_1 slice at a
-    time, so a scan holds about one index array per form of at most
-    max(GRID_CHUNK, p^(n(l-1))) entries.
+    matches.  Each form reads the one-byte mask values == targets[j]
+    through grid_slices, and the masks are ANDed, whole or one x_1 slice at
+    a time, so a scan holds about two bytes per tuple of the grid or slice.
     """
+    masks = {t: values == t for t in set(targets)}
     count = 0
-    for offset, grids in grid_slices(constraint.forms, params):
-        ok = grid_matches(values, grids, targets)
+    for offset, shape, ok in grid_slices(
+        [masks[t] for t in targets], constraint.forms, params, np.bitwise_and
+    ):
         if first:
+            ok = np.broadcast_to(ok, shape)
             i = int(ok.argmax())
-            if ok[i]:
+            if ok.flat[i]:
                 return offset + i
         else:
-            count += int(np.count_nonzero(ok))
+            count += int(np.count_nonzero(ok)) * (math.prod(shape) // ok.size)
     return None if first else count

@@ -80,34 +80,6 @@ def kernel_basis(mat, p: int) -> np.ndarray:
     return basis
 
 
-def solve_right(mat, vec, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = vec mod p, or None if inconsistent."""
-    m = as_matrix(mat, p)
-    v = np.mod(np.asarray(vec, dtype=np.int64), p)
-    rows, cols = m.shape
-    aug = np.hstack([m, v[:, None]])
-    ech, pivots = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r, cols]
-    return x
-
-
-def invert(mat, p: int) -> np.ndarray | None:
-    """Inverse of a square matrix mod p, or None if singular."""
-    m = as_matrix(mat, p)
-    k = m.shape[0]
-    if m.shape[1] != k:
-        raise ValueError("matrix must be square")
-    aug = np.hstack([m, np.eye(k, dtype=np.int64)])
-    ech, pivots = rref(aug, p)
-    if pivots[:k] != list(range(k)):
-        return None
-    return ech[:, k:]
-
-
 def is_invertible(mat, p: int) -> bool:
     m = as_matrix(mat, p)
     return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]

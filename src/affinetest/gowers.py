@@ -25,7 +25,11 @@ and one field.combination_indices call per stream turns them into the index
 of x + sum_{i in S} h_i for all 2^k subsets S at once, with no coordinate
 array: at p = 2 by XOR of the drawn indices, at p >= 3 one radix-p digit
 per pass.  system_product_mean sums over the grid of its rank-reduced forms
-as forms.grid_slices hands it out, whole or one x_1 slice at a time.
+as forms.grid_slices hands it out, whole or one x_1 slice at a time: each
+form's table is read as an array that broadcasts over the grid, gathered by
+rows of a p^n x p^n row table (never larger than the grid or slice), so
+the per-tuple arrays are the running float product and the one view being
+multiplied in, 8 bytes per tuple each.
 
 The U^1 "norm" is the seminorm |E f|; it is allowed here and flagged as such
 in the documentation only.
@@ -271,9 +275,12 @@ def system_product_mean(
     other image is a fixed combination of them, so the p^(nl)-term sum
     collapses to a grid over rank-many variables; fully independent systems
     reduce to a product of means.  The reduced grid has p^(nr) tuples, at
-    most `budget`; it is built by forms.grid_slices, whole when it has at
-    most forms.GRID_CHUNK tuples, else one slice of p^(n(r-1)) tuples per
-    value of the first variable.
+    most `budget`; forms.grid_slices walks it whole when it has at most
+    forms.GRID_CHUNK tuples, else one slice of p^(n(r-1)) tuples per value of
+    the first variable.  Each table is read as a view that broadcasts over
+    the grid, with no per-tuple index; the views are multiplied in form
+    order and each piece's product is summed flattened in C order, so the
+    value is the one the per-tuple index gather gives, bit for bit.
     """
     m = len(tables)
     if m != len(forms):
@@ -303,9 +310,6 @@ def system_product_mean(
     # form j over the r grid variables is column j of the rref basis (e_a at pivot a)
     reduced = [LinearForm(p, tuple(col)) for col in basis.T]
     total = 0.0
-    for _, grids in grid_slices(reduced, params):
-        prod = tables[0].values[grids[0]]
-        for t, idx in zip(tables[1:], grids[1:]):
-            prod = prod * t.values[idx]
-        total += float(prod.sum())
+    for _, shape, prod in grid_slices([t.values for t in tables], reduced, params, np.multiply):
+        total += float(np.broadcast_to(prod, shape).ravel().sum())
     return total / size**r

@@ -197,10 +197,25 @@ def _higher_values(terms, p: int) -> np.ndarray:
     else:
         for j, t in enumerate(used):
             exps = sorted({e[t] for e, _ in terms})
-            table = np.array([[pow(x, e, p) for e in exps] for x in range(p)], dtype=dtype)
+            table = _power_table(p, exps).astype(dtype)
             axis = v.reshape(-1, p, p**j)[:, exps, :]
             v = _reduce(np.einsum("xe,aeb->axb", table, axis).ravel(), p)
     return v.reshape([p if t in used else 1 for t in reversed(range(used[-1] + 1))])
+
+
+def _power_table(p: int, exps) -> np.ndarray:
+    """V[x, e] = x^e mod p (0^0 = 1) for every x in F_p and the given
+    exponents, as int64 by square-and-multiply over arange(p): exact while
+    p^2 < 2^63, which holds for every p whose p-entry table fits in memory."""
+    squares = [np.arange(p, dtype=np.int64)]  # x^(2^b) mod p, shared by the exponents
+    out = np.ones((len(exps), p), dtype=np.int64)
+    for row, e in zip(out, exps):
+        for b in range(e.bit_length()):
+            if b == len(squares):
+                squares.append(squares[-1] * squares[-1] % p)
+            if e >> b & 1:
+                row[...] = row * squares[b] % p
+    return out.T
 
 
 def monomials_up_to_degree(p: int, n: int, d: int) -> list[tuple[int, ...]]:

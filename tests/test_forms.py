@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -26,6 +28,7 @@ from affinetest.forms import (
     ConstraintCollection,
     dump_collection,
     dump_induced_constraint,
+    grid_matches,
     grid_point_indices,
     parse_collection,
     parse_induced_constraint,
@@ -300,30 +303,23 @@ def test_tensor_row_space_cache_consistency():
     assert first is second
 
 
-def reference_grid_point_indices(forms_, params, chunk_var=None):
+def reference_grid_point_indices(forms_, params):
     """The per-digit grid builder: digit t of a_j(x) is sum_k c_k x_k[t] mod p,
     accumulated over the whole grid for every digit of every form."""
     p, n = params.p, params.n
     size = params.size
     ell = forms_[0].ell
     coords = domain_coords(params)
-    axes = ell if chunk_var is None else ell - 1
-    shape = (size,) * axes
     out = []
     for f in forms_:
-        idx = np.zeros(shape, dtype=np.int64)
+        idx = np.zeros((size,) * ell, dtype=np.int64)
         for t in range(n):
-            digit = np.zeros(shape, dtype=np.int64)
+            digit = np.zeros((size,) * ell, dtype=np.int64)
             for k in range(ell):
                 c = f.coeffs[k]
-                if not c:
-                    continue
-                if chunk_var is not None and k == 0:
-                    digit += c * coords[t, chunk_var]
-                else:
-                    ax = k if chunk_var is None else k - 1
-                    view = [1] * axes
-                    view[ax] = size
+                if c:
+                    view = [1] * ell
+                    view[k] = size
                     digit = digit + c * coords[t].reshape(view)
             idx += (digit % p) * p**t
         out.append(idx.ravel())
@@ -358,13 +354,12 @@ def test_grid_point_indices_match_per_digit_builder(p, ell, n):
     systems.append([LinearForm(p, (c,) + (0,) * (ell - 1)) for c in range(p)])
     systems.append([LinearForm(p, (c,) + (1,) * (ell - 1)) for c in range(p)])
     for forms_ in systems:
-        for chunk_var in [None] + list(range(params.size)):
-            got = grid_point_indices(forms_, params, chunk_var)
-            want = reference_grid_point_indices(forms_, params, chunk_var)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert np.array_equal(g, w)
+        got = grid_point_indices(forms_, params)
+        want = reference_grid_point_indices(forms_, params)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -389,6 +384,69 @@ def test_scan_grid_one_free_axis_slices(monkeypatch, p):
             sliced = (scan_grid(f.values, a, params, sigma, first=True),
                       scan_grid(f.values, a, params, sigma))
         assert whole == sliced == ((hits[0] if hits else None), len(hits))
+
+
+def reference_scan_grid(values, constraint, params, targets, first=False):
+    """The index-grid scan: one int64 index array per form over the whole
+    grid, labels gathered through it and compared with sigma."""
+    ok = grid_matches(values, grid_point_indices(constraint.forms, params), targets)
+    if first:
+        i = int(ok.argmax())
+        return i if ok[i] else None
+    return int(np.count_nonzero(ok))
+
+
+@st.composite
+def scan_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    ell = draw(st.integers(1, 4))
+    n = draw(st.integers(0, {2: (6, 4, 3, 3), 3: (4, 3, 2, 2), 5: (3, 2, 1, 1)}[p][ell - 1]))
+    params = FieldParams(p, n)
+    others = st.lists(st.tuples(*[st.integers(0, p - 1)] * (ell - 1)), max_size=4)
+    rows = [(1,) + (0,) * (ell - 1)] + [(1,) + r for r in draw(others, label="forms")]
+    r = draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(st.integers(1, r), min_size=params.size,
+                                    max_size=params.size)), dtype=np.int64)
+    sigma = draw(st.tuples(*[st.integers(1, r)] * len(rows)), label="sigma")
+    # GRID_CHUNK below the grid sends it down the x_1-slice walk, with and
+    # without room for a p^(2n) row table in each slice
+    chunk = draw(st.sampled_from([forms.GRID_CHUNK, params.size**2, 1]), label="chunk")
+    return AffineConstraint.from_rows(p, rows), params, values, sigma, chunk
+
+
+def _gap_case(p, chunk):
+    # a derivative square on x_3 and x_4 whose top form skips x_2
+    rows = [(1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, p - 1), (1, 0, 1, p - 1)]
+    params = FieldParams(p, 2 if p == 2 else 1)
+    values = np.random.default_rng(p).integers(1, 3, size=params.size)
+    return AffineConstraint.from_rows(p, rows), params, values, (1, 2, 2, 1), chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example(_gap_case(2, forms.GRID_CHUNK))
+@example(_gap_case(3, 1))
+def test_scan_grid_matches_index_grid_scan(case):
+    a, params, values, sigma, chunk = case
+    want = [reference_scan_grid(values, a, params, sigma, first) for first in (False, True)]
+    with mock.patch.object(forms, "GRID_CHUNK", chunk):
+        got = [scan_grid(values, a, params, sigma, first=first) for first in (False, True)]
+    assert got == want
+
+
+def test_scan_grid_holds_less_than_one_index_array():
+    # p = 2, n = 7, l = 3: 2^21 tuples, where one int64 index array is 16 MB
+    f = fixtures.random_function(2, 7, 2, seed=4)
+    params = f.params
+    for ic in fixtures.derivative_collection(2).members[:4]:
+        tracemalloc.start()
+        try:
+            count = scan_grid(f.values, ic.constraint, params, ic.sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * params.size**3
+        assert 0 < count < params.size**3
 
 
 def test_parse_collection_builds_each_constraint_once():

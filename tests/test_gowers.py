@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinetest import (
     FieldParams,
@@ -24,8 +26,8 @@ from affinetest.gowers import (
     exact_charge,
 )
 from affinetest.poly import monomials_up_to_degree
-from affinetest.forms import eval_form
-from affinetest import fixtures
+from affinetest.forms import eval_form, grid_point_indices
+from affinetest import fixtures, gflinalg
 from affinetest import forms as forms_module
 from affinetest import gowers as gowers_module
 
@@ -445,6 +447,53 @@ def test_system_product_mean_against_brute_force():
         ]
         tables = [fixtures.random_real_table(p, n, seed=trial * 31 + i) for i in range(m)]
         assert abs(system_product_mean(tables, forms) - brute_product_mean(tables, forms)) < 1e-10
+
+
+def reference_system_product_mean(tables, forms):
+    """The index-grid kernel: the same rank reduction, then one int64 index
+    array per reduced form over the whole reduced grid, the product of the
+    gathered values summed whole or per x_1 slice as grid_slices cuts it."""
+    params = tables[0].params
+    p, size = params.p, params.size
+    coeff = np.array([f.coeffs for f in forms], dtype=np.int64)
+    basis, _ = gflinalg.rref(coeff.T, p)
+    r = basis.shape[0]
+    if params.n == 0 or r == 0:
+        return math.prod(float(t.values[0]) for t in tables)
+    if r == len(forms):
+        return math.prod(float(t.values.mean()) for t in tables)
+    reduced = [LinearForm(p, tuple(col)) for col in basis.T]
+    grids = grid_point_indices(reduced, params)
+    prod = tables[0].values[grids[0]]
+    for t, idx in zip(tables[1:], grids[1:]):
+        prod = prod * t.values[idx]
+    rows = [prod] if size**r <= forms_module.GRID_CHUNK else prod.reshape(size, -1)
+    return sum(float(row.sum()) for row in rows) / size**r
+
+
+@st.composite
+def product_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, {2: 3, 3: 2, 5: 1}[p]))
+    ell = draw(st.integers(1, 4))
+    # any coefficients, zero forms and forms without x_1 included
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * ell), min_size=1, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    chunk = draw(st.sampled_from([forms_module.GRID_CHUNK, 1]), label="chunk")
+    return p, n, rows, seed, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_systems())
+def test_system_product_mean_equals_index_grid_kernel(case):
+    p, n, rows, seed, chunk = case
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(seed)
+    forms = [LinearForm(p, r) for r in rows]
+    tables = [RealTable(params, rng.standard_normal(params.size)) for _ in rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms_module, "GRID_CHUNK", chunk)
+        assert system_product_mean(tables, forms) == reference_system_product_mean(tables, forms)
 
 
 def test_system_product_mean_sliced_grid(monkeypatch):

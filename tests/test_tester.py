@@ -192,13 +192,13 @@ def test_chunked_grid_walk_matches_whole_grid(monkeypatch):
 
     whole = scans()
     chunk_vars = []
-    grid_point_indices = forms.grid_point_indices
+    slice_views = forms._FormViews.slice
 
-    def spy(forms_, params, chunk_var=None):
-        chunk_vars.append(chunk_var)
-        return grid_point_indices(forms_, params, chunk_var)
+    def spy(self, x1):
+        chunk_vars.append(x1)
+        return slice_views(self, x1)
 
-    monkeypatch.setattr(forms, "grid_point_indices", spy)
+    monkeypatch.setattr(forms._FormViews, "slice", spy)
     monkeypatch.setattr(forms, "GRID_CHUNK", 8)
     assert scans() == whole
     assert chunk_vars and None not in chunk_vars
