@@ -128,14 +128,6 @@ def domain_coords(params: FieldParams) -> np.ndarray:
     return coords
 
 
-def vec_add(x, y, p: int) -> tuple[int, ...]:
-    return tuple((a + b) % p for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: int, x, p: int) -> tuple[int, ...]:
-    return tuple((c * a) % p for a in x)
-
-
 def e_p(a: int, p: int) -> complex:
     """The complex number e^(2*pi*i*a/p) for a field element a in [0, p)."""
     if not 0 <= a < p:

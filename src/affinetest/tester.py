@@ -2,19 +2,23 @@
 properties, big-picture machinery, and the one-sided affine-subspace tester.
 
 The tester samples points, restricts the function to their affine span, and
-searches the restriction exhaustively.  It runs its trials in blocks: one
-span-index gather restricts f for every trial of a block, each distinct
-constraint's tuple grid is gathered once per block, and a per-form lookup
-table reads every tuple's labels into the position of the first member whose
-sigma they match.  Every rejected trial's witness is lifted back to domain
-points and re-checked against f, all of a block's at once, so a function
-that is actually free can never be rejected.  Wherever a budget can bind,
-results are tri-state (True / False / None for inconclusive) and accept-side
-conclusions are only drawn from definitive results.
+searches the restriction exhaustively.  Trial t's points are exactly
+default_rng(SeedSequence((seed, t))).integers(0, p^n, l), computed for many
+trials at once by array arithmetic that emulates numpy's generators.  It
+runs its trials in blocks: one span-index gather restricts f for every trial
+of a block, each distinct constraint's tuple grid is gathered once per
+block, and a per-form lookup table reads every tuple's labels into the
+position of the first member whose sigma they match.  Every rejected trial's
+witness is lifted back to domain points and re-checked against f, all of a
+block's at once, so a function that is actually free can never be rejected.
+Wherever a budget can bind, results are tri-state (True / False / None for
+inconclusive) and accept-side conclusions are only drawn from definitive
+results.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -49,6 +53,13 @@ from .poly import Polynomial, monomials_up_to_degree
 DEFAULT_TUPLE_BUDGET = 1 << 24
 DEFAULT_NODE_BUDGET = 1 << 20
 SEARCH_BLOCK = 1 << 10  # tuples drawn and checked at once by the randomized search
+DRAW_SLICE = 1 << 12  # tester trials whose sample points are drawn at once
+
+# numpy's SeedSequence (4-word pool) and PCG64 (XSL-RR 128/64) constants
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -264,6 +275,123 @@ class _GridCheck:
             raise ValueError("claimed witness does not evaluate to sigma")
 
 
+def _hash_constants(init: int, mult: int, count: int):
+    """The xor and multiply constants of `count` successive SeedSequence
+    hashes, as two uint32 arrays (count, 1); they do not depend on the data."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _M32)
+    return np.array(chain[:-1], np.uint32)[:, None], np.array(chain[1:], np.uint32)[:, None]
+
+
+def _hash32(words, xor, mul):
+    """SeedSequence's hashmix of uint32 words under its xor and multiply
+    constants."""
+    words = (words ^ xor) * mul
+    return words ^ words >> 16
+
+
+def _mix32(x, y):
+    """SeedSequence's mix of hashed uint32 words y into pool words x."""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ r >> 16
+
+
+def _seed_state(entropy: list, rows: int) -> np.ndarray:
+    """(4, rows) uint64: SeedSequence(entropy).generate_state(4, uint64) for
+    each row, from uint32 entropy words that are Python ints or (rows,)
+    arrays.  Hashes whose inputs do not depend on each other run at once:
+    the pool's initial words, the three mixed into the pool by each source
+    word, and the eight words of the output state."""
+    extra = entropy[4:]
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * len(extra))
+    pool = np.zeros((4, rows), dtype=np.uint32)
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    pool = _hash32(pool, xor[:4], mul[:4])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix32(pool[dst], _hash32(pool[src], xor[k : k + 3], mul[k : k + 3]))
+        k += 3
+    for word in extra:
+        pool = _mix32(pool, _hash32(np.uint32(word), xor[k : k + 4], mul[k : k + 4]))
+        k += 4
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    halves = _hash32(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    return halves[0::2] | halves[1::2] << np.uint64(32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state * multiplier + inc mod 2^128 on (hi, lo) uint64 halves;
+    the high half of lo times the multiplier's low half comes from 32-bit
+    halves."""
+    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
+    b0, b1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a0, a1 = lo & m32, lo >> s32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> s32) + (p01 & m32) + (p10 & m32)
+    hi = hi * m_lo + lo * m_hi + a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    lo = lo * m_lo
+    out_lo = lo + inc_lo
+    return hi + inc_hi + (out_lo < lo), out_lo
+
+
+def _trial_draws(seed: int, start: int, stop: int, size: int, ell: int) -> np.ndarray:
+    """(stop - start, ell) int64 sample draws: row t - start is exactly
+    default_rng(SeedSequence((seed, t))).integers(0, size, size=ell).
+
+    All rows are computed at once by emulating numpy's SeedSequence, PCG64
+    (O'Neill's XSL-RR 128/64) and Lemire's bounded 32-bit draw, which reads
+    the low half of each 64-bit output first.  A row that the emulation does
+    not cover (a word Lemire's method rejects, t >= 2^32, size >= 2^32 - 1)
+    is redrawn by numpy itself.  The caller checks that seed >= 0.
+    """
+    seed = operator.index(seed)
+    rows = max(0, stop - start)
+    draws = np.zeros((rows, ell), dtype=np.int64)
+    fast = max(0, min(stop, 1 << 32) - start) if size < _M32 else 0
+    redo = list(range(fast, rows))
+    if fast:
+        seed_words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        t = np.arange(start, start + fast, dtype=np.uint32)
+        with np.errstate(over="ignore"):
+            w0, w1, w2, w3 = _seed_state(seed_words + [t], fast)
+            one = np.uint64(1)
+            inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
+            # srandom: a step from state 0 gives inc, add the seed, step
+            lo = inc_lo + w1
+            hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+            words = np.empty((fast, (ell + 1) // 2, 2), dtype=np.uint64)
+            for i in range(words.shape[1]):
+                hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+                x, r = hi ^ lo, hi >> np.uint64(58)
+                x = x >> r | x << (np.uint64(64) - r & np.uint64(63))
+                words[:, i, 0] = x & np.uint64(_M32)
+                words[:, i, 1] = x >> np.uint64(32)
+            m = words.reshape(fast, -1)[:, :ell] * np.uint64(size)
+        draws[:fast] = m >> np.uint64(32)
+        threshold = ((1 << 32) - size) % size
+        if threshold:
+            rejected = (m & np.uint64(_M32) < np.uint64(threshold)).any(axis=1)
+            redo = np.flatnonzero(rejected).tolist() + redo
+    for i in redo:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, start + i)))
+        draws[i] = rng.integers(0, size, size=ell)
+    return draws
+
+
+def _blocks_of_draws(seed: int, trials: int, block: int, size: int, ell: int):
+    """Yield the sample draws of trials 0, ..., trials - 1, at most `block`
+    rows at a time; they are computed DRAW_SLICE trials at a time, whatever
+    the block, so one-trial blocks do not pay _trial_draws' fixed cost each."""
+    for lo in range(0, trials, DRAW_SLICE):
+        drawn = _trial_draws(seed, lo, min(trials, lo + DRAW_SLICE), size, ell)
+        for start in range(0, len(drawn), block):
+            yield drawn[start : start + block]
+
+
 def affine_subspace_test(
     f: FunctionTable,
     collection: ConstraintCollection,
@@ -275,9 +403,11 @@ def affine_subspace_test(
     """One-sided subspace tester: restrict f to random affine spans and search
     the restrictions exhaustively for induced constraints.
 
-    Trial t draws its l sample points from SeedSequence((seed, t)), so a
-    report does not depend on how trials are grouped.  Trials run in blocks
-    of about forms.GRID_CHUNK tuples: the block's restrictions come from one
+    Trial t's l sample points are exactly
+    default_rng(SeedSequence((seed, t))).integers(0, p^n, l), computed
+    DRAW_SLICE trials at a time (seed must be nonnegative), so a report does
+    not depend on how trials are grouped.  Trials run in blocks of about
+    forms.GRID_CHUNK tuples: the block's restrictions come from one
     affine_span_indices call, each distinct constraint's grid is gathered
     once, and a trial rejects when some tuple matches a member's sigma.  Its
     witness is the first matching member in collection order and that
@@ -289,11 +419,15 @@ def affine_subspace_test(
     that of the first rejected trial, goes through make_witness.  Restriction
     checks whose tuple grids exceed the budget make the trial inconclusive;
     such trials are counted and reported, never treated as accepts silently.
+    When no check fits the budget, nothing is drawn or restricted and every
+    trial is inconclusive.
     """
     params = f.params
     p = params.p
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     for ic in collection.members:
         _check_field(f, ic.constraint)
     if not collection.concise:
@@ -318,14 +452,10 @@ def affine_subspace_test(
     widest = max((sub.size**c.constraint.ell for c in checks), default=1)
     block = max(1, forms.GRID_CHUNK // widest)
     rejections = 0
-    inconclusive = 0
+    # with no check left no trial can reject, so nothing is drawn
+    inconclusive = trials if over_budget and not checks else 0
     first_witness: Witness | None = None
-    for start in range(0, trials, block):
-        draws = np.array([
-            np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
-            .integers(0, params.size, size=ell)
-            for t in range(start, min(trials, start + block))
-        ])
+    for draws in _blocks_of_draws(seed, trials if checks else 0, block, params.size, ell):
         values = f.values[affine_span_indices(draws, params)]
         # per trial: first matching member, its first tuple and its check
         member = np.full(len(draws), none)

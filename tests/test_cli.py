@@ -84,6 +84,21 @@ def test_test_budget_exit_code(blr_file, tmp_path):
     assert code == 2
 
 
+def test_test_no_grid_in_budget_is_inconclusive(blr_file, tmp_path, capsys):
+    # at --ell 40 the restriction grids hold 2^117 tuples: no trial can be
+    # checked, and none may build its 2^39-point restriction
+    func = tmp_path / "big.tab"
+    main(["fixture", "random_function", "--p", "2", "--n", "10", "--seed", "5",
+          "--out", str(func)])
+    capsys.readouterr()
+    code = main([
+        "test", "--constraints", str(blr_file), "--function", str(func),
+        "--ell", "40", "--trials", "3", "--seed", "2",
+    ])
+    assert code == 2
+    assert "inconclusive=3" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     assert main(["complexity"]) == 64  # missing required argument
     assert main(["no-such-command"]) == 64
@@ -212,6 +227,8 @@ def test_test_field_mismatch_is_usage_error(tmp_path, capsys, table_p, family_p)
     ["--trials", "-3"],
     ["--budget", "0"],
     ["--budget", "-5"],
+    ["--seed", "-1"],
+    ["--seed", "-1", "--trials", "0"],
 ])
 def test_test_rejects_invalid_arguments(blr_file, free_table, extra):
     argv = ["test", "--constraints", str(blr_file), "--function", str(free_table),

@@ -31,7 +31,7 @@ from affinetest import (
 from affinetest import forms, tester
 from affinetest.decompose import SelectionError
 from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
-from affinetest.field import index_to_vec, vec_add, vec_scale
+from affinetest.field import index_to_vec
 from affinetest.forms import (
     CellImage,
     eval_form,
@@ -297,6 +297,24 @@ def test_subspace_test_report_pinned(p, n, seed, rejections, witness):
     }
 
 
+def vec_add(x, y, p):
+    return tuple((a + b) % p for a, b in zip(x, y, strict=True))
+
+
+def vec_scale(c, x, p):
+    return tuple((c * a) % p for a in x)
+
+
+def reference_trial_draws(seed, start, stop, size, ell):
+    """Trial t's sample draws, one numpy Generator per trial: the oracle for
+    tester._trial_draws."""
+    rows = [
+        np.random.default_rng(np.random.SeedSequence(entropy=(seed, t))).integers(0, size, size=ell)
+        for t in range(start, stop)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ell)
+
+
 def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, budget=1 << 24):
     """The tester as one Python loop per trial and per member, restricting
     and lifting by plain vector arithmetic: the oracle for the batched
@@ -324,8 +342,8 @@ def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, b
     rejections = inconclusive = 0
     first_witness = None
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
-        pts = [index_to_vec(int(i), params) for i in rng.integers(0, params.size, size=ell)]
+        draws = reference_trial_draws(seed, t, t + 1, params.size, ell)[0]
+        pts = [index_to_vec(int(i), params) for i in draws]
         g = np.array([f(span_point(pts, index_to_vec(i, sub))) for i in range(sub.size)])
         rejected = trial_inconclusive = False
         for ic in collection.members:
@@ -450,6 +468,81 @@ def test_batched_subspace_test_property(data):
         got = affine_subspace_test(f, col, ell_test, trials, seed, budget)
     want = reference_subspace_test(f, col, ell_test, trials, seed, budget)
     assert got.as_dict() == want.as_dict()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_trial_draws_equal_numpy_generators(data):
+    # seeds of 1 to 4 words make SeedSequence entropy of 2 to 5 words, the
+    # last past its 4-word pool; starts near 2^32 cross to 2-word trial indices
+    words = data.draw(st.integers(1, 4), label="seed words")
+    low = 1 << 32 * (words - 1) if words > 1 else 0
+    seed = data.draw(st.integers(low, min(1 << 32 * words, 1 << 100) - 1), label="seed")
+    base = data.draw(st.sampled_from([0, (1 << 32) - 20]), label="base")
+    start = base + data.draw(st.integers(0, 30), label="offset")
+    stop = start + data.draw(st.integers(0, 30), label="rows")
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
+    top = next(k for k in itertools.count() if p ** (k + 1) >= 2**31)
+    n = data.draw(st.integers(0, top), label="n")
+    ell = data.draw(st.integers(1, 6), label="ell")
+    got = tester._trial_draws(seed, start, stop, p**n, ell)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_trial_draws(seed, start, stop, p**n, ell))
+
+
+@pytest.mark.parametrize("size, ell", [(3**19, 6), (5**13, 1), (2**32, 2), (3**21, 2)])
+def test_trial_draws_rows_numpy_redraws(size, ell):
+    # at 3^19 and 5^13 about 19% and 15% of 32-bit words fall below Lemire's
+    # threshold and are rejected; sizes from 2^32 - 1 up are drawn by numpy
+    # for every row
+    for seed in (0, 7, (1 << 64) + 1, (1 << 96) + 5):
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as spy:
+            got = tester._trial_draws(seed, 0, 300, size, ell)
+        assert np.array_equal(got, reference_trial_draws(seed, 0, 300, size, ell))
+        if size < 2**32 - 1:
+            assert 0 < spy.call_count < 300
+        else:
+            assert spy.call_count == 300
+
+
+def test_negative_seed_raises():
+    f = fixtures.random_function(2, 3, 2, seed=1)
+    family = fixtures.derivative_collection(2)
+    for trials, budget in ((5, 1 << 24), (0, 1 << 24), (5, 1)):
+        with pytest.raises(ValueError, match="seed"):
+            affine_subspace_test(f, family, trials=trials, seed=-1, budget=budget)
+
+
+def test_reports_across_a_draw_slice_boundary(monkeypatch):
+    # one trial per grid block and DRAW_SLICE + 3 trials: both groupings give
+    # the same report; a smaller slice is also checked against the trial loop
+    f = fixtures.random_function(2, 4, 2, seed=3)
+    family = fixtures.derivative_collection(2)
+    trials = tester.DRAW_SLICE + 3
+    reports = []
+    for chunk in (forms.GRID_CHUNK, 1):
+        monkeypatch.setattr(forms, "GRID_CHUNK", chunk)
+        reports.append(affine_subspace_test(f, family, trials=trials, seed=4).as_dict())
+    assert reports[0] == reports[1]
+    assert 0 < reports[0]["rejections"] < trials
+    monkeypatch.setattr(tester, "DRAW_SLICE", 5)
+    for chunk in (forms.GRID_CHUNK, 1):
+        monkeypatch.setattr(forms, "GRID_CHUNK", chunk)
+        got = affine_subspace_test(f, family, trials=23, seed=4)
+        assert got.as_dict() == reference_subspace_test(f, family, trials=23, seed=4).as_dict()
+
+
+def test_no_grid_in_budget_draws_nothing(monkeypatch):
+    # at l = 40 every restriction grid is over budget: no restriction of
+    # 2^39 points is built, and every trial is inconclusive
+    f = fixtures.random_function(2, 10, 2, seed=1)
+    family = fixtures.derivative_collection(2)
+    monkeypatch.setattr(tester, "affine_span_indices", None)  # must not be called
+    rep = affine_subspace_test(f, family, ell_test=40, trials=3, seed=0)
+    assert rep.inconclusive_trials == 3 and rep.verdict == "accept"
+    high = _high_label_collection(2).members[0]  # no member can match, none over budget
+    rep = affine_subspace_test(f, ConstraintCollection((high,)), trials=3, seed=0)
+    assert rep.inconclusive_trials == 0 and rep.verdict == "accept"
 
 
 def test_corrupted_lift_raises(monkeypatch):
