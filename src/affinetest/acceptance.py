@@ -7,6 +7,7 @@ All tolerances are fixed here, not configurable.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,12 +25,11 @@ from .decompose import (
     super_decompose,
 )
 from .factor import (
-    PolynomialFactor,
     bias_certificate,
     cell_histogram,
     pattern_count,
 )
-from .field import FieldParams, FunctionTable, disagreement_count, index_to_vec
+from .field import FieldParams, FunctionTable, canonical_index, disagreement_count, index_to_vec
 from .forms import (
     AffineConstraint,
     CellImage,
@@ -38,6 +38,7 @@ from .forms import (
     cs_complexity,
     change_of_view,
     dimension_d,
+    eval_form,
     make_concise,
     mixed_dimension,
 )
@@ -419,15 +420,22 @@ def tester_one_sidedness(seed: int = 41, tables: int = 50, trials: int = 1000) -
 
 def _exact_trial_rejection_probability(f, family, ell: int) -> Fraction:
     """Probability over all sample tuples that the restriction's span
-    contains an occurrence of some family member, by full enumeration."""
+    contains an occurrence of some family member, by full enumeration.  Each
+    distinct constraint's form values are indexed tuple by tuple with
+    eval_form, so this shares no grid code with the tester it checks."""
     from .field import restrict_to_affine_span
-    from .forms import grid_matches, grid_point_indices
 
     params = f.params
     sub = FieldParams(params.p, ell - 1)
-    grids = [
-        (ic, grid_point_indices(ic.constraint.forms, sub)) for ic in family.members
-    ]
+    sub_points = [index_to_vec(i, sub) for i in range(sub.size)]
+    grids: dict[AffineConstraint, np.ndarray] = {}
+    for ic in family.members:
+        a = ic.constraint
+        if a not in grids:
+            grids[a] = np.array([
+                [canonical_index(eval_form(form, tup), sub) for form in a.forms]
+                for tup in itertools.product(sub_points, repeat=a.ell)
+            ], dtype=np.int64)
     hits = 0
     total = params.size**ell
     for flat in range(total):
@@ -438,8 +446,8 @@ def _exact_trial_rejection_probability(f, family, ell: int) -> Fraction:
             idxs.append(i)
         pts = [index_to_vec(i, params) for i in idxs]
         g = restrict_to_affine_span(f, pts)
-        for ic, grid in grids:
-            if grid_matches(g.values, grid, ic.sigma).any():
+        for ic in family.members:
+            if (g.values[grids[ic.constraint]] == ic.sigma).all(axis=1).any():
                 hits += 1
                 break
     return Fraction(hits, total)
@@ -535,7 +543,3 @@ TOLERANCES = {
     "gowers_ladder_and_monte_carlo": {"tables": 50, "ladder_slack": 1e-9,
                                       "mc_band": "4 stderr", "mc_fraction": 0.95},
 }
-
-
-def run_all() -> list[CriterionResult]:
-    return [fn() for _, fn in CRITERIA]

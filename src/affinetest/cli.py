@@ -278,6 +278,10 @@ def cmd_distance(args) -> int:
 
 def cmd_experiment(args) -> int:
     wanted = set(args.only) if args.only else None
+    known = {w for name, fn in acceptance.CRITERIA for w in (name, fn.__name__)}
+    unknown = [w for w in args.only or () if w not in known]
+    if unknown:
+        raise ValueError(f"unknown criteria: {', '.join(unknown)}")
     results = []
     for name, fn in acceptance.CRITERIA:
         if wanted and name not in wanted and fn.__name__ not in wanted:
@@ -359,12 +363,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--constraints", required=True)
 
     sp = add("gowers", cmd_gowers, help="Gowers U^k norm of a table")
-    sp.add_argument("--function", help="labeled table file (use with --slice)")
-    sp.add_argument("--real", help="real table file")
+    table = sp.add_mutually_exclusive_group(required=True)
+    table.add_argument("--function", help="labeled table file (use with --slice)")
+    table.add_argument("--real", help="real table file")
     sp.add_argument("--slice", type=int, default=1)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
-    sp.add_argument("--samples", type=int, default=50000)
+    sp.add_argument("--samples", type=_positive_int, default=50000)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("dimension", cmd_dimension, help="(d_1, ..., d_C)-dimension of a constraint")

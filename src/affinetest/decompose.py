@@ -31,7 +31,6 @@ from .factor import (
     represents,
 )
 from .gowers import (
-    CorrelationWitness,
     GowersResult,
     gowers_norm,
     inverse_gowers_search,

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gflinalg
 from .field import (
     BudgetError,
     FieldParams,
@@ -31,7 +30,6 @@ from .field import (
     unit_roots,
 )
 from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
-from .gowers import polynomial_bias
 from .poly import Polynomial
 
 DEFAULT_BIAS_BUDGET = 1 << 16
@@ -120,8 +118,8 @@ def cell_histogram(
 def conditional_expectation(f: RealTable, factor: PolynomialFactor) -> RealTable:
     """E[f|B]: the per-cell mean of f, constant on every cell.
 
-    For a FunctionTable, the caller picks the real view (an indicator slice
-    or as_real cast) before calling.
+    For a FunctionTable, the caller picks the real view (an indicator slice,
+    say) before calling.
     """
     params = f.params
     idx = cell_index_array(factor, params)

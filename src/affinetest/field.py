@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -115,19 +114,6 @@ def canonical_indices(points, params: FieldParams) -> np.ndarray:
     return (np.asarray(points, dtype=np.int64) % params.p) @ place
 
 
-@lru_cache(maxsize=64)
-def domain_coords(params: FieldParams) -> np.ndarray:
-    """(n, p^n) array: row i holds coordinate i+1 of every domain point."""
-    n, p, size = params.n, params.p, params.size
-    coords = np.empty((n, size), dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    for i in range(n):
-        coords[i] = idx % p
-        idx //= p
-    coords.setflags(write=False)
-    return coords
-
-
 def e_p(a: int, p: int) -> complex:
     """The complex number e^(2*pi*i*a/p) for a field element a in [0, p)."""
     if not 0 <= a < p:
@@ -212,9 +198,6 @@ class FunctionTable:
 
     def slices(self) -> tuple["RealTable", ...]:
         return tuple(self.indicator_slice(i) for i in range(1, self.range_size + 1))
-
-    def as_real(self) -> "RealTable":
-        return RealTable(self.params, self.values.astype(np.float64))
 
     def with_values(self, values) -> "FunctionTable":
         return FunctionTable(self.params, self.range_size, values)

@@ -21,8 +21,8 @@ from .field import (
     MAX_DOMAIN_BITS,
     BudgetError,
     FieldParams,
-    canonical_index,
-    domain_coords,
+    canonical_indices,
+    index_digits,
     is_prime,
 )
 
@@ -44,9 +44,6 @@ class LinearForm:
     @property
     def ell(self) -> int:
         return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __str__(self) -> str:
         terms = [
@@ -442,11 +439,11 @@ def _sum_rows(left: np.ndarray, params: FieldParams) -> np.ndarray:
     each step is one broadcast add and the steps' sizes grow geometrically.
     """
     p = params.p
-    coords = domain_coords(params)
+    digits = index_digits(left, params)
     e = np.arange(p, dtype=np.int64)
     rows = left[:, None]
     for k in range(params.n):
-        d = coords[k, left][:, None]
+        d = digits[:, k, None]
         shift = ((d + e) % p - d) * p**k
         rows = (shift[:, :, None] + rows[:, None, :]).reshape(len(left), -1)
     return rows
@@ -456,45 +453,18 @@ def _scaled_indices(c: int, x, params: FieldParams) -> np.ndarray:
     """index(c * x) for the points x with canonical indices `x`."""
     if c == 1:
         return x
-    p = params.p
-    return p ** np.arange(params.n, dtype=np.int64) @ (c * domain_coords(params)[:, x] % p)
+    return canonical_indices(c * index_digits(x, params), params)
 
 
 def grid_point_indices(forms: Sequence[LinearForm], params: FieldParams) -> list[np.ndarray]:
-    """Per-form arrays of canonical point indices of a_j(x_1, ..., x_l) over
-    the full tuple grid (F_p^n)^l laid out with x_1 as the most significant
-    axis (lexicographic order).  The forms share l but may carry any
-    coefficient on x_1.  This costs 8 bytes per tuple per form, so it serves
-    only small grids that are built once and read many times (the tester's
-    restriction grids); scans go through grid_slices instead.
-
-    The indices are combined directly, with no pass per digit.  Canonical
-    indices are little-endian radix p, so index(x + y) is digit-wise
-    addition mod p: each form starts from index(c_1 * x_1) and takes one
-    variable per axis, at p = 2 by a broadcast XOR with index(x_k), at
-    p >= 3 by a gather of rows of the sum table add[i, j] = index(x_i + x_j)
-    whose columns are permuted by index(c * x) for a coefficient c != 1.  The
-    table has p^(2n) entries and is built only for a coefficient past x_1,
-    so the grid has at least two axes and the table is never larger than it.
+    """Per-form canonical point indices of a_j(x_1, ..., x_l) over the tuple
+    grid (F_p^n)^l, x_1 on the first axis: grid_slices' views of the
+    identity table over the whole grid.  The forms share l but may carry any
+    coefficient on x_1.  Each view broadcasts to (p^n,)*l and has length 1
+    on every axis its form does not read, so a caller that gathers through
+    it reads only the axes the form uses.
     """
-    p, size = params.p, params.size
-    every = np.arange(size, dtype=np.int64)
-    table = None
-    out = []
-    for f in forms:
-        acc = _scaled_indices(f.coeffs[0], every, params)  # a_j over the variables read so far
-        for c in f.coeffs[1:]:
-            if not c:
-                acc = np.repeat(acc[..., None], size, axis=-1)
-            elif p == 2:
-                acc = acc[..., None] ^ every
-            else:
-                if table is None:
-                    table = _sum_rows(every, params)
-                rows = table if c == 1 else table[:, _scaled_indices(c, every, params)]
-                acc = rows[acc]
-        out.append(acc.ravel())
-    return out
+    return list(_FormViews(None, forms, params, params.size ** forms[0].ell).slice(None))
 
 
 def _row_table(values: np.ndarray, params: FieldParams) -> np.ndarray:
@@ -503,15 +473,16 @@ def _row_table(values: np.ndarray, params: FieldParams) -> np.ndarray:
 
     Built one digit of x_i at a time: with its digits below k placed, row
     i + e * p^k is row i with digit k of the column index moved by e mod p,
-    i.e. one rotation of a length-p axis, so each pass is 2p block copies
-    and the passes' sizes grow geometrically.
+    i.e. one rotation of a length-p axis, so each pass is 2p - 1 block
+    copies and the passes' sizes grow geometrically.
     """
     p = params.p
     rows = values[None, :]
     for k in range(params.n):
         src = rows.reshape(len(rows), -1, p, p**k)
         out = np.empty((p,) + src.shape, dtype=values.dtype)
-        for e in range(p):
+        out[0] = src
+        for e in range(1, p):
             out[e, :, :, : p - e] = src[:, :, e:]
             out[e, :, :, p - e :] = src[:, :, :e]
         rows = out.reshape(-1, params.size)
@@ -522,11 +493,14 @@ class _FormViews:
     """Each form's table read as an array that broadcasts over the tuple
     grid, without a per-tuple index; see grid_slices.  The scaled index
     permutations, the row tables and the views of forms free of x_1 do not
-    depend on the x_1 slice and are built once."""
+    depend on the x_1 slice and are built once.  Tables None read the
+    identity table for every form, the same array the index steps read, so
+    its row tables are built once."""
 
     def __init__(self, tables, forms, params: FieldParams, span: int):
-        self.tables, self.forms, self.params = tables, forms, params
+        self.forms, self.params = forms, params
         self.every = np.arange(params.size, dtype=np.int64)
+        self.tables = [self.every] * len(forms) if tables is None else tables
         self.use_tables = params.size**2 <= span  # no row table beyond the grid or slice
         self._scaled: dict[int, np.ndarray] = {}
         self._rows: dict[tuple[int, int], np.ndarray] = {}
@@ -607,8 +581,7 @@ def grid_slices(
     The views are built one at a time and folded into the result, so a
     piece holds the result and one view, each at most one entry per tuple
     in the tables' dtype, plus row tables no larger than the piece: about
-    two bytes per tuple for boolean masks, where grid_point_indices takes
-    8 bytes per tuple per form.
+    two bytes per tuple for boolean masks.
     """
     size = params.size
     step = size ** (forms[0].ell - 1)
@@ -624,16 +597,6 @@ def grid_slices(
             else:
                 out = op(out, v)
         yield (x1 or 0) * step, shape, out
-
-
-def grid_matches(
-    values: np.ndarray, grids: Sequence[np.ndarray], targets: Sequence[int]
-) -> np.ndarray:
-    """Boolean mask over a tuple grid: values[grids[j]] == targets[j] for every j."""
-    ok = values[grids[0]] == targets[0]
-    for arr, t in zip(grids[1:], targets[1:]):
-        ok &= values[arr] == t
-    return ok
 
 
 def scan_grid(

@@ -139,6 +139,8 @@ def gowers_norm_values(
         return GowersResult(value, 0.0, "exact", params.size ** (k + 1), seed)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     return _gowers_monte_carlo(values, params, k, samples, seed)
 
 
@@ -245,12 +247,9 @@ def inverse_gowers_search(
         scores = scores[:, :1]
     else:
         # column r: the linear part whose coefficients of x_n, ..., x_1 are the
-        # little-endian digits of r, i.e. lambda with its digits reversed
-        rest, reversed_lam = np.arange(params.size), np.zeros(params.size, dtype=np.int64)
-        for _ in range(n):
-            rest, digit = np.divmod(rest, p)
-            reversed_lam = reversed_lam * p + digit
-        scores = scores[:, reversed_lam]
+        # little-endian digits of r, i.e. lambda with its digits reversed:
+        # the canonical order read through the (p,)*n cube with its axes reversed
+        scores = scores[:, np.arange(params.size).reshape((p,) * n).T.ravel()]
     # flat index q * p^n + r is the coefficient vector's index divided by p
     flat = scores.ravel()
     best = int(np.argmax(flat >= (1.0 - TIE_RTOL) * flat.max()))

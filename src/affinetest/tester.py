@@ -6,11 +6,13 @@ searches the restriction exhaustively.  Trial t's points are exactly
 default_rng(SeedSequence((seed, t))).integers(0, p^n, l), computed for many
 trials at once by array arithmetic that emulates numpy's generators.  It
 runs its trials in blocks: one span-index gather restricts f for every trial
-of a block, each distinct constraint's tuple grid is gathered once per
-block, and a per-form lookup table reads every tuple's labels into the
-position of the first member whose sigma they match.  Every rejected trial's
-witness is lifted back to domain points and re-checked against f, all of a
-block's at once, so a function that is actually free can never be rejected.
+of a block, and for each distinct constraint every form's labels are
+gathered once per block through its grid_point_indices view, over only the
+grid axes the form reads, and folded by a per-form lookup table into the
+position of the first member whose sigma each tuple matches.  Every rejected
+trial's witness is lifted back to domain points and re-checked against f,
+all of a block's at once, so a function that is actually free can never be
+rejected.
 Wherever a budget can bind, results are tri-state (True / False / None for
 inconclusive) and accept-side conclusions are only drawn from definitive
 results.
@@ -218,7 +220,8 @@ def lift_restriction_witness(
 
 class _GridCheck:
     """One distinct constraint of a collection over the restriction domain:
-    its tuple grid (None when over budget) and a label automaton over it.
+    its forms' index views over the tuple grid (None when over budget; see
+    grid_point_indices) and a label automaton over the grid.
 
     luts[j][state * (R + 1) + label] is the state after reading form j's
     label; states number the distinct sigma prefixes read so far plus one
@@ -230,8 +233,9 @@ class _GridCheck:
     def __init__(self, constraint, positions, members, sub, range_size, budget):
         self.constraint = constraint
         self.sub = sub
+        self.shape = (sub.size,) * constraint.ell
         total = sub.size**constraint.ell
-        self.grids = grid_point_indices(constraint.forms, sub) if total <= budget else None
+        self.views = grid_point_indices(constraint.forms, sub) if total <= budget else None
         self.sigmas = np.zeros((len(members), constraint.size), dtype=np.int64)
         for i in positions:
             self.sigmas[i] = members[i].sigma
@@ -253,13 +257,16 @@ class _GridCheck:
 
     def first_members(self, values: np.ndarray) -> np.ndarray:
         """(trials, tuples) collection position of the first member each
-        tuple of each restriction (rows of `values`) induces."""
-        state = self.luts[0][values[:, self.grids[0]]]
-        for arr, lut in zip(self.grids[1:], self.luts[1:]):
+        tuple of each restriction (rows of `values`) induces.  The state
+        covers the whole grid, and each form's labels are gathered over only
+        the axes it reads and broadcast into it."""
+        state = np.empty((len(values),) + self.shape, dtype=np.int64)
+        state[...] = self.luts[0][values[:, self.views[0]]]
+        for view, lut in zip(self.views[1:], self.luts[1:]):
             state *= self.base
-            state += values[:, arr]
+            state += values[:, view]
             state = lut[state]
-        return state
+        return state.reshape(len(values), -1)
 
     def lift(self, samples: np.ndarray, flats: np.ndarray) -> np.ndarray:
         """Domain points (k, l_a, n) of the grid tuples `flats` found in the
@@ -408,10 +415,10 @@ def affine_subspace_test(
     DRAW_SLICE trials at a time (seed must be nonnegative), so a report does
     not depend on how trials are grouped.  Trials run in blocks of about
     forms.GRID_CHUNK tuples: the block's restrictions come from one
-    affine_span_indices call, each distinct constraint's grid is gathered
-    once, and a trial rejects when some tuple matches a member's sigma.  Its
-    witness is the first matching member in collection order and that
-    member's first tuple in scan order.
+    affine_span_indices call, each form of each distinct constraint is
+    gathered once through its grid view, and a trial rejects when some
+    tuple matches a member's sigma.  Its witness is the first matching
+    member in collection order and that member's first tuple in scan order.
 
     Rejections always carry a Witness verified against f itself: every
     rejected trial's witness is lifted to domain points and checked against
@@ -447,8 +454,8 @@ def affine_subspace_test(
     checks = [
         _GridCheck(a, pos, members, sub, f.range_size, budget) for a, pos in positions.items()
     ]
-    over_budget = any(c.grids is None for c in checks)
-    checks = [c for c in checks if c.grids is not None and c.luts]
+    over_budget = any(c.views is None for c in checks)
+    checks = [c for c in checks if c.views is not None and c.luts]
     widest = max((sub.size**c.constraint.ell for c in checks), default=1)
     block = max(1, forms.GRID_CHUNK // widest)
     rejections = 0

@@ -137,6 +137,18 @@ def test_distance_and_gowers_commands(free_table, capsys):
     assert "exact" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "one of the arguments --function --real is required"),
+    (["--function", "F", "--real", "F"], "not allowed with argument"),
+    (["--function", "F", "--mode", "monte_carlo", "--samples", "0"], "must be at least 1"),
+    (["--function", "F", "--mode", "monte_carlo", "--samples", "-3"], "must be at least 1"),
+])
+def test_gowers_rejects_invalid_arguments(free_table, capsys, extra, message):
+    argv = ["gowers", "-k", "2"] + [str(free_table) if a == "F" else a for a in extra]
+    assert main(argv) == 64
+    assert message in capsys.readouterr().err
+
+
 def test_factor_pipeline(tmp_path, capsys):
     fac = tmp_path / "lin.fac"
     assert main(["fixture", "linear_factor", "--p", "2", "--n", "5", "--count", "2",
@@ -205,6 +217,15 @@ def test_experiment_single_criterion(capsys):
     assert main(["experiment", "--only", "5"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] criterion 5" in out
+
+
+@pytest.mark.parametrize("only", [["12"], ["5", "bogus", "0"]])
+def test_experiment_unknown_criteria_are_usage_errors(capsys, only):
+    assert main(["experiment", "--only"] + only) == 64
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing is run
+    unknown = [w for w in only if w != "5"]
+    assert f"unknown criteria: {', '.join(unknown)}" in err
 
 
 @pytest.mark.parametrize("table_p, family_p", [(3, 2), (2, 3)])

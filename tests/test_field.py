@@ -18,7 +18,6 @@ from affinetest.field import (
     affine_span_indices,
     canonical_indices,
     combination_indices,
-    domain_coords,
     dump_function_table,
     dump_real_table,
     fourier_means,
@@ -29,6 +28,7 @@ from affinetest.field import (
     RealTable,
 )
 from affinetest import fixtures
+from reference import domain_coords
 
 
 def test_canonical_index_examples():

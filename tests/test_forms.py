@@ -23,12 +23,11 @@ from affinetest import (
     mixed_dimension,
     tensor_power,
 )
-from affinetest.field import BudgetError, domain_coords, index_to_vec
+from affinetest.field import BudgetError, index_to_vec
 from affinetest.forms import (
     ConstraintCollection,
     dump_collection,
     dump_induced_constraint,
-    grid_matches,
     grid_point_indices,
     parse_collection,
     parse_induced_constraint,
@@ -36,6 +35,7 @@ from affinetest.forms import (
     tensor_row_space,
 )
 from affinetest import fixtures, forms, gflinalg
+from reference import reference_grid_point_indices, reference_matches
 
 
 def blr_forms(p=2):
@@ -303,29 +303,6 @@ def test_tensor_row_space_cache_consistency():
     assert first is second
 
 
-def reference_grid_point_indices(forms_, params):
-    """The per-digit grid builder: digit t of a_j(x) is sum_k c_k x_k[t] mod p,
-    accumulated over the whole grid for every digit of every form."""
-    p, n = params.p, params.n
-    size = params.size
-    ell = forms_[0].ell
-    coords = domain_coords(params)
-    out = []
-    for f in forms_:
-        idx = np.zeros((size,) * ell, dtype=np.int64)
-        for t in range(n):
-            digit = np.zeros((size,) * ell, dtype=np.int64)
-            for k in range(ell):
-                c = f.coeffs[k]
-                if c:
-                    view = [1] * ell
-                    view[k] = size
-                    digit = digit + c * coords[t].reshape(view)
-            idx += (digit % p) * p**t
-        out.append(idx.ravel())
-    return out
-
-
 # (p, l, n): every p in {2, 3, 5, 7} at l = 1..4, grids of at most 5^6 tuples
 GRID_CASES = [
     (p, ell, n)
@@ -357,9 +334,11 @@ def test_grid_point_indices_match_per_digit_builder(p, ell, n):
         got = grid_point_indices(forms_, params)
         want = reference_grid_point_indices(forms_, params)
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert np.array_equal(g, w)
+        for f, g, w in zip(forms_, got, want):
+            # a view has length 1 on every axis its form does not read
+            assert g.dtype == w.dtype
+            assert g.shape == tuple(params.size if c else 1 for c in f.coeffs)
+            assert np.array_equal(np.broadcast_to(g, (params.size,) * ell).ravel(), w)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -389,7 +368,7 @@ def test_scan_grid_one_free_axis_slices(monkeypatch, p):
 def reference_scan_grid(values, constraint, params, targets, first=False):
     """The index-grid scan: one int64 index array per form over the whole
     grid, labels gathered through it and compared with sigma."""
-    ok = grid_matches(values, grid_point_indices(constraint.forms, params), targets)
+    ok = reference_matches(values, reference_grid_point_indices(constraint.forms, params), targets)
     if first:
         i = int(ok.argmax())
         return i if ok[i] else None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from affinetest import (
     polynomial_bias,
     system_product_mean,
 )
-from affinetest.field import BudgetError, domain_coords, fourier_means, index_to_vec
+from affinetest.field import BudgetError, fourier_means, index_to_vec
 from affinetest.gowers import (
     DEFAULT_EXACT_BUDGET,
     MC_STREAMS,
@@ -26,10 +27,11 @@ from affinetest.gowers import (
     exact_charge,
 )
 from affinetest.poly import monomials_up_to_degree
-from affinetest.forms import eval_form, grid_point_indices
+from affinetest.forms import eval_form
 from affinetest import fixtures, gflinalg
 from affinetest import forms as forms_module
 from affinetest import gowers as gowers_module
+from reference import domain_coords, reference_grid_point_indices
 
 
 def reference_gowers(values, params, k):
@@ -277,10 +279,21 @@ def test_monte_carlo_matches_coordinate_body(p, n, k):
 def test_monte_carlo_builds_no_coordinate_array():
     # at p = 2, n = 20 the coordinate array alone would be 20 x 2^20 int64 (160 MB)
     t = RealTable(FieldParams(2, 20), np.linspace(-1.0, 1.0, 1 << 20))
-    domain_coords.cache_clear()
-    res = gowers_norm(t, 2, mode="monte_carlo", samples=2000, seed=1)
+    tracemalloc.start()
+    try:
+        res = gowers_norm(t, 2, mode="monte_carlo", samples=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert res.mode == "monte_carlo" and res.samples == 2000
-    assert domain_coords.cache_info().currsize == 0
+    assert peak < 20 * t.params.size * 8
+
+
+def test_monte_carlo_needs_a_sample():
+    t = fixtures.random_real_table(2, 3, seed=1)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            gowers_norm_values(t.values, t.params, 2, mode="monte_carlo", samples=samples)
 
 
 def reference_radicand_by_roll(values, params, k):
@@ -324,9 +337,13 @@ def test_inverse_search_builds_no_coordinate_array():
     # at p = 2, n = 16 the coordinate array would be 16 x 2^16 int64 (8 MB)
     params = FieldParams(2, 16)
     t = RealTable(params, np.cos(np.arange(params.size) * 0.37))
-    domain_coords.cache_clear()
-    w = inverse_gowers_search(t, 1)
-    assert domain_coords.cache_info().currsize == 0
+    tracemalloc.start()
+    try:
+        w = inverse_gowers_search(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * params.size * 8
     assert w.polynomial.degree <= 1
     assert abs(w.correlation - np.abs(fwht(t.values)).max() / params.size) < 1e-12
 
@@ -463,7 +480,7 @@ def reference_system_product_mean(tables, forms):
     if r == len(forms):
         return math.prod(float(t.values.mean()) for t in tables)
     reduced = [LinearForm(p, tuple(col)) for col in basis.T]
-    grids = grid_point_indices(reduced, params)
+    grids = reference_grid_point_indices(reduced, params)
     prod = tables[0].values[grids[0]]
     for t, idx in zip(tables[1:], grids[1:]):
         prod = prod * t.values[idx]

@@ -25,10 +25,11 @@ from affinetest import (
     represents,
 )
 from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
-from affinetest.field import canonical_index, domain_coords, index_to_vec, is_prime, unit_roots
+from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
 from affinetest.poly import monomials_up_to_degree
 from affinetest import fixtures
+from reference import domain_coords
 
 
 def coord(p, n, i):

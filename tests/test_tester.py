@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -32,16 +32,11 @@ from affinetest import forms, tester
 from affinetest.decompose import SelectionError
 from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
 from affinetest.field import index_to_vec
-from affinetest.forms import (
-    CellImage,
-    eval_form,
-    grid_matches,
-    grid_point_indices,
-    make_concise_collection,
-)
+from affinetest.forms import CellImage, eval_form, make_concise_collection
 from affinetest.tester import violation_count
 from affinetest.poly import Polynomial
 from affinetest import fixtures
+from reference import reference_grid_point_indices, reference_matches
 
 
 def brute_occurrences(f, ic):
@@ -331,7 +326,9 @@ def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, b
     for ic in collection.members:
         a = ic.constraint
         if a not in grids:
-            grids[a] = grid_point_indices(a.forms, sub) if sub.size**a.ell <= budget else None
+            grids[a] = (
+                reference_grid_point_indices(a.forms, sub) if sub.size**a.ell <= budget else None
+            )
 
     def span_point(pts, c):
         acc = pts[0]
@@ -351,7 +348,7 @@ def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, b
             if grid is None:
                 trial_inconclusive = True
                 continue
-            ok = grid_matches(g, grid, ic.sigma)
+            ok = reference_matches(g, grid, ic.sigma)
             flat = int(ok.argmax())
             if not ok[flat]:
                 continue
@@ -442,28 +439,45 @@ def test_batched_subspace_test_matches_reference_loop(monkeypatch, chunk):
     assert all(seen.values()), seen
 
 
-@settings(max_examples=60)
-@given(data=st.data())
-def test_batched_subspace_test_property(data):
-    p = data.draw(st.sampled_from([2, 3]), label="p")
-    n = data.draw(st.integers(1, 3), label="n")
-    r = data.draw(st.integers(1, 3), label="R")
-    labels = data.draw(st.lists(st.integers(1, r), min_size=p**n, max_size=p**n), label="table")
+@st.composite
+def subspace_cases(draw):
+    p = draw(st.sampled_from([2, 3]), label="p")
+    n = draw(st.integers(1, 3), label="n")
+    r = draw(st.integers(1, 3), label="R")
+    labels = draw(st.lists(st.integers(1, r), min_size=p**n, max_size=p**n), label="table")
     f = FunctionTable(FieldParams(p, n), r, np.array(labels))
     members = []
-    for _ in range(data.draw(st.integers(1, 3), label="members")):
-        ell = data.draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3), label="members")):
+        ell = draw(st.integers(1, 3))
         rows = [(1,) + (0,) * (ell - 1)]
-        for _ in range(data.draw(st.integers(0, 3))):
-            rows.append((1,) + tuple(data.draw(st.integers(0, p - 1)) for _ in range(ell - 1)))
-        sigma = tuple(data.draw(st.integers(1, r + 1)) for _ in rows)
+        for _ in range(draw(st.integers(0, 3))):
+            rows.append((1,) + tuple(draw(st.integers(0, p - 1)) for _ in range(ell - 1)))
+        sigma = tuple(draw(st.integers(1, r + 1)) for _ in rows)
         members.append(InducedConstraint(AffineConstraint.from_rows(p, rows), sigma))
     col = ConstraintCollection(tuple(members))
-    ell_test = data.draw(st.sampled_from([None, 3, 4]), label="ell_test")
-    trials = data.draw(st.integers(0, 12), label="trials")
-    seed = data.draw(st.integers(0, 3), label="seed")
-    budget = data.draw(st.sampled_from([1 << 24, 30, 1]), label="budget")
-    chunk = data.draw(st.sampled_from([forms.GRID_CHUNK, 1, 40]), label="chunk")
+    ell_test = draw(st.sampled_from([None, 3, 4]), label="ell_test")
+    trials = draw(st.integers(0, 12), label="trials")
+    seed = draw(st.integers(0, 3), label="seed")
+    budget = draw(st.sampled_from([1 << 24, 30, 1]), label="budget")
+    chunk = draw(st.sampled_from([forms.GRID_CHUNK, 1, 40]), label="chunk")
+    return f, col, ell_test, trials, seed, budget, chunk
+
+
+def _unread_axis_case(p, chunk):
+    # a derivative square on x_3 and x_4 whose forms never read x_2, so its
+    # labels are folded into the grid state over an axis no form gathers
+    rows = [(1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, p - 1), (1, 0, 1, p - 1)]
+    member = InducedConstraint(AffineConstraint.from_rows(p, rows), (1, 2, 2, 1))
+    f = fixtures.random_function(p, 3, 2, seed=p)
+    return f, ConstraintCollection((member,)), None, 12, 0, 1 << 24, chunk
+
+
+@settings(max_examples=60)
+@given(subspace_cases())
+@example(_unread_axis_case(2, forms.GRID_CHUNK))
+@example(_unread_axis_case(3, 40))
+def test_batched_subspace_test_property(case):
+    f, col, ell_test, trials, seed, budget, chunk = case
     with mock.patch.object(forms, "GRID_CHUNK", chunk):
         got = affine_subspace_test(f, col, ell_test, trials, seed, budget)
     want = reference_subspace_test(f, col, ell_test, trials, seed, budget)
