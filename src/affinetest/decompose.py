@@ -28,6 +28,7 @@ from .factor import (
     cell_index_array,
     conditional_expectation,
     density_index,
+    label_frequencies,
     represents,
 )
 from .gowers import (
@@ -419,17 +420,22 @@ def super_decompose(f: FunctionTable, cfg: DecompositionConfig) -> Decomposition
     )
 
 
-def _subcell_masks(
-    fine: PolynomialFactor, cc: int, params: FieldParams, s: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per point: its coarse cell index (the fine cell index's first cc
-    digits), whether it lies in subcell s, and the number p^cc of coarse
-    cells."""
-    p = params.p
-    fine_idx = cell_index_array(fine, params)
-    coarse_idx = fine_idx % p**cc
-    in_subcell = fine_idx // p**cc == canonical_index(s, FieldParams(p, len(s)))
-    return coarse_idx, in_subcell, p**cc
+def _subcell_frequencies(
+    f: FunctionTable, fine: PolynomialFactor, cc: int, s: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Per point its coarse cell index (the fine cell index's first cc
+    digits) and whether it lies in subcell s; per coarse cell the point
+    counts of the cell and of its subcell s, and each label's frequency
+    [label - 1, cell] in both (0 where empty)."""
+    p, r, ncells = f.params.p, f.range_size, f.params.p**cc
+    fine_idx = cell_index_array(fine, f.params)
+    coarse_idx = fine_idx % ncells
+    in_sub = fine_idx // ncells == canonical_index(s, FieldParams(p, len(s)))
+    cell_counts, cell_freq = label_frequencies(coarse_idx, f.values, r, ncells)
+    sub_counts, sub_freq = label_frequencies(coarse_idx[in_sub], f.values[in_sub], r, ncells)
+    cell_frac = np.divide(cell_freq, cell_counts, out=np.zeros((r, ncells)), where=cell_counts > 0)
+    sub_frac = np.divide(sub_freq, sub_counts, out=np.zeros((r, ncells)), where=sub_counts > 0)
+    return coarse_idx, in_sub, cell_counts, sub_counts, cell_frac, sub_frac
 
 
 def subcell_conditions(
@@ -446,42 +452,26 @@ def subcell_conditions(
     (b) fewer than a zeta fraction of coarse cells have any label slice whose
         mean over (c, s) deviates from its mean over c by more than zeta.
     """
-    params = f.params
-    coarse_idx, in_sub, ncells = _subcell_masks(
-        result.factor_fine, result.factor_coarse.complexity, params, s
+    coarse_idx, in_sub, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
+        f, result.factor_fine, result.factor_coarse.complexity, s
     )
+    ncells = len(cell_counts)
     delta_fn = as_schedule(delta, default_delta)
     dbound = delta_fn(result.factor_coarse.complexity) ** 2
-    cell_counts = np.bincount(coarse_idx, minlength=ncells)
-    sub_counts = np.bincount(coarse_idx[in_sub], minlength=ncells)
     occupied = cell_counts > 0
     orphaned = occupied & (sub_counts == 0)
     cond_a = not orphaned.any()
     if cond_a:
+        sub_idx = coarse_idx[in_sub]
         for t in result.f3:
-            sq = np.bincount(
-                coarse_idx[in_sub], weights=t.values[in_sub] ** 2, minlength=ncells
-            )
+            sq = np.bincount(sub_idx, weights=t.values[in_sub] ** 2, minlength=ncells)
             mean_sq = np.divide(sq, sub_counts, out=np.zeros_like(sq), where=sub_counts > 0)
             if np.any(mean_sq[occupied] >= dbound):
                 cond_a = False
                 break
-    deviating = orphaned.copy()
-    for label in range(1, f.range_size + 1):
-        vals = (f.values == label).astype(np.float64)
-        cell_means = np.divide(
-            np.bincount(coarse_idx, weights=vals, minlength=ncells),
-            cell_counts,
-            out=np.zeros(ncells),
-            where=occupied,
-        )
-        sub_means = np.divide(
-            np.bincount(coarse_idx[in_sub], weights=vals[in_sub], minlength=ncells),
-            sub_counts,
-            out=np.zeros(ncells),
-            where=sub_counts > 0,
-        )
-        deviating |= occupied & (sub_counts > 0) & (np.abs(cell_means - sub_means) > zeta)
+    deviating = orphaned | (
+        occupied & (sub_counts > 0) & (np.abs(cell_frac - sub_frac) > zeta).any(axis=0)
+    )
     cond_b = int(deviating.sum()) < zeta * ncells
     return cond_a, cond_b
 
@@ -630,37 +620,18 @@ def cleanup(
     """
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
-    params = f.params
     cc = coarse.complexity
     if len(s) != fine.complexity - cc:
         raise ValueError("subcell id length mismatch")
-    coarse_idx, in_sub, ncells = _subcell_masks(fine, cc, params, s)
-    r = f.range_size
-    cell_counts = np.bincount(coarse_idx, minlength=ncells)
-    sub_counts = np.bincount(coarse_idx[in_sub], minlength=ncells)
+    coarse_idx, _, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
+        f, fine, cc, s
+    )
     occupied = cell_counts > 0
     if np.any(occupied & (sub_counts == 0)):
         raise RuntimeError("nonempty cell with empty selected subcell; rank failure upstream")
-    cell_freq = np.zeros((r, ncells))
-    sub_freq = np.zeros((r, ncells))
-    for label in range(1, r + 1):
-        hit = f.values == label
-        cell_freq[label - 1] = np.bincount(
-            coarse_idx, weights=hit.astype(np.float64), minlength=ncells
-        )
-        sub_freq[label - 1] = np.bincount(
-            coarse_idx[in_sub], weights=hit[in_sub].astype(np.float64), minlength=ncells
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cell_frac = np.where(occupied, cell_freq / np.maximum(cell_counts, 1), 0.0)
-        sub_frac = np.where(sub_counts > 0, sub_freq / np.maximum(sub_counts, 1), 0.0)
     popular = np.argmax(sub_frac, axis=0) + 1  # argmax breaks ties to smallest label
-    out = np.array(f.values, dtype=np.int64)
     rewrite_cell = occupied & (np.abs(cell_frac - sub_frac) > zeta).any(axis=0)
-    mask2 = rewrite_cell[coarse_idx]
-    out[mask2] = popular[coarse_idx[mask2]]
-    rare = (sub_frac < zeta) & occupied[None, :] & ~rewrite_cell[None, :]
-    for label in range(1, r + 1):
-        mask3 = rare[label - 1][coarse_idx] & (f.values == label)
-        out[mask3] = popular[coarse_idx[mask3]]
-    return f.with_values(out)
+    # new_label[label - 1, cell]: popular in rewritten cells and for rare labels
+    relabel = rewrite_cell | (sub_frac < zeta) & occupied
+    new_label = np.where(relabel, popular, np.arange(1, f.range_size + 1)[:, None])
+    return f.with_values(new_label[f.values - 1, coarse_idx])

@@ -263,54 +263,52 @@ def common_refinement(b: PolynomialFactor, b2: PolynomialFactor) -> PolynomialFa
     return PolynomialFactor(b.polys + extra)
 
 
+def label_frequencies(
+    idx: np.ndarray, values: np.ndarray, r: int, ncells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell label counts of some points: (counts, freq), counts[c] the
+    points with idx == c and freq[i - 1, c] those of them labelled i, for
+    cell indices idx in [0, ncells) and labels values in [1, r], from one
+    bincount of the joint code idx * r + values - 1."""
+    freq = np.bincount(idx * r + values - 1, minlength=r * ncells).reshape(ncells, r).T
+    return freq.sum(axis=0), freq
+
+
 def represents(
     f: FunctionTable,
     fine: PolynomialFactor,
     coarse: PolynomialFactor,
     zeta: float,
-    params: FieldParams | None = None,
 ) -> bool:
     """Whether the fine factor zeta-represents the coarse one w.r.t. f.
 
     True iff at most a zeta fraction of coarse cells have more than a zeta
     fraction of their nonempty subcells c' with |E[f^(i)|c] - E[f^(i)|c']| >
     zeta for some label i.  Empty subcells are skipped (the denominator counts
-    nonempty subcells).
+    nonempty subcells).  One label_frequencies count over the fine cells
+    gives every label's means, a coarse cell's counts summing its subcells'.
     """
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
-    params = f.params
-    p = params.p
-    cc, cf = coarse.complexity, fine.complexity
-    n_coarse, n_fine = p**cc, p**cf
-    fi = cell_index_array(fine, params)
-    counts_f = np.bincount(fi, minlength=n_fine)
-    nonempty = counts_f > 0
-    bad_sub = np.zeros(n_fine, dtype=bool)
-    for label in range(1, f.range_size + 1):
-        slice_vals = (f.values == label).astype(np.float64)
-        sums_f = np.bincount(fi, weights=slice_vals, minlength=n_fine)
-        means_f = np.divide(sums_f, counts_f, out=np.zeros_like(sums_f), where=nonempty)
-        mf = means_f.reshape(-1, n_coarse)  # [subcell id s, coarse cell]
-        cnt = counts_f.reshape(-1, n_coarse)
-        coarse_sums = sums_f.reshape(-1, n_coarse).sum(axis=0)
-        coarse_counts = cnt.sum(axis=0)
-        means_c = np.divide(
-            coarse_sums, coarse_counts, out=np.zeros_like(coarse_sums), where=coarse_counts > 0
-        )
-        dev = np.abs(mf - means_c[None, :])
-        bad_sub |= ((dev > zeta) & (cnt > 0)).ravel()
+    p, r = f.params.p, f.range_size
+    n_coarse = p**coarse.complexity
+    counts_f, freq_f = label_frequencies(
+        cell_index_array(fine, f.params), f.values, r, p**fine.complexity
+    )
+    # [label, subcell id s, coarse cell]: a fine cell index is s * n_coarse + coarse cell
     cnt = counts_f.reshape(-1, n_coarse)
-    bad = bad_sub.reshape(-1, n_coarse)
+    freq = freq_f.reshape(r, -1, n_coarse)
+    means_f = np.divide(freq, cnt, out=np.zeros(freq.shape), where=cnt > 0)
+    coarse_counts = cnt.sum(axis=0)
+    means_c = np.divide(
+        freq.sum(axis=1), coarse_counts, out=np.zeros((r, n_coarse)), where=coarse_counts > 0
+    )
+    dev = np.abs(means_f - means_c[:, None, :])
+    bad = ((dev > zeta) & (cnt > 0)).any(axis=0)
     nonempty_subcells = (cnt > 0).sum(axis=0)
-    bad_counts = bad.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        frac = np.divide(
-            bad_counts,
-            nonempty_subcells,
-            out=np.zeros(n_coarse, dtype=np.float64),
-            where=nonempty_subcells > 0,
-        )
+    frac = np.divide(
+        bad.sum(axis=0), nonempty_subcells, out=np.zeros(n_coarse), where=nonempty_subcells > 0
+    )
     flagged = int(np.count_nonzero(frac > zeta))
     return flagged <= zeta * n_coarse
 

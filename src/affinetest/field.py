@@ -310,7 +310,7 @@ def restrict_to_affine_span(f: FunctionTable, points) -> FunctionTable:
 
 def dump_function_table(f: FunctionTable) -> str:
     head = f"{f.params.p} {f.params.n} {f.range_size}"
-    body = " ".join(str(int(v)) for v in f.values)
+    body = " ".join(map(str, f.values.tolist()))
     return head + "\n" + body + "\n"
 
 
@@ -341,7 +341,7 @@ def load_function_table(path) -> FunctionTable:
 
 def dump_real_table(f: RealTable) -> str:
     head = f"{f.params.p} {f.params.n}"
-    body = " ".join(repr(float(v)) for v in f.values)
+    body = " ".join(map(repr, f.values.tolist()))
     return head + "\n" + body + "\n"
 
 

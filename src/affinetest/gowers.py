@@ -210,6 +210,35 @@ def correlation(f: RealTable, poly: Polynomial) -> float:
     return abs(complex(np.dot(f.values, phases))) / f.params.size
 
 
+def coset_rows(params: FieldParams, d: int, budget: int, rows: int | None = None):
+    """The polynomials of degree <= d as rows Q of degree >= 2 parts, each
+    standing for the p^(n+1) polynomials Q + lambda . x + c.
+
+    Raises ValueError for d < 0 and BudgetError when the p^(#monomials)
+    polynomials exceed budget.  Returns monomials_up_to_degree(p, n, d) and
+    the (p^h, p^n) table of the parts' values in blocks of `rows` rows (one
+    block when None): row q is the part whose coefficients over the h
+    monomials of degree >= 2 are the little-endian digits of q.
+    """
+    p = params.p
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    monos = monomials_up_to_degree(p, params.n, d)
+    total = p ** len(monos)
+    if total > budget:
+        raise BudgetError(f"search space p^{len(monos)} = {total} exceeds budget {budget}")
+    higher = [e for e in monos if sum(e) >= 2]
+    mono_vals = np.array(
+        [Polynomial.from_monomials(p, params.n, {e: 1}).values() for e in higher], dtype=np.int64
+    ).reshape(len(higher), params.size)
+    digits, count = FieldParams(p, len(higher)), p ** len(higher)
+    step = rows or count
+    return monos, (
+        index_digits(np.arange(q, min(q + step, count)), digits) @ mono_vals % p
+        for q in range(0, count, step)
+    )
+
+
 def inverse_gowers_search(
     f: RealTable, d: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> CorrelationWitness:
@@ -218,30 +247,19 @@ def inverse_gowers_search(
     The search covers every canonical reduced polynomial (exponents <= p-1,
     total degree <= d).  Coefficient vectors are ordered little-endian over
     monomials_up_to_degree: the constant first, then x_n, ..., x_1, then the
-    monomials of degree >= 2.  For each coefficient vector Q of the degree >= 2
-    part, one fourier_means of f e_p(Q) scores every linear part at once; the
-    constant term never changes |corr|, so it is always 0.  Ties: among
-    candidates with correlation >= (1 - TIE_RTOL) * max, the earliest
-    coefficient vector wins, so float noise never picks among exact ties (P, -P
-    and every constant shift, for real f) and P = 0 wins among zero-correlation
-    ties.  Memory is a few dozen bytes per candidate, bounded by the budget.
-    The inverse-theorem guarantee (positive U^{d+1} norm forces a positive
-    maximum here) is only backed for d < p; the search itself runs for any d.
+    monomials of degree >= 2.  For each row Q of coset_rows, one fourier_means
+    of f e_p(Q) scores every linear part at once; the constant term never
+    changes |corr|, so it is always 0.  Ties: among candidates with
+    correlation >= (1 - TIE_RTOL) * max, the earliest coefficient vector wins,
+    so float noise never picks among exact ties (P, -P and every constant
+    shift, for real f) and P = 0 wins among zero-correlation ties.  Memory is a
+    few dozen bytes per candidate, bounded by the budget.  The
+    inverse-theorem guarantee (positive U^{d+1} norm forces a positive maximum
+    here) is only backed for d < p; the search itself runs for any d.
     """
     params = f.params
     p, n = params.p, params.n
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    monos = monomials_up_to_degree(p, n, d)
-    total = p ** len(monos)
-    if total > budget:
-        raise BudgetError(f"search space p^{len(monos)} = {total} exceeds budget {budget}")
-    higher = [e for e in monos if sum(e) >= 2]
-    mono_vals = np.array(
-        [Polynomial.from_monomials(p, n, {e: 1}).values() for e in higher], dtype=np.int64
-    ).reshape(len(higher), params.size)
-    # row q: the degree >= 2 part whose coefficients are the little-endian digits of q
-    q_vals = index_digits(np.arange(p ** len(higher)), FieldParams(p, len(higher))) @ mono_vals % p
+    monos, (q_vals,) = coset_rows(params, d, budget)
     scores = np.abs(fourier_means(f.values * unit_roots(p)[q_vals], params))
     if d == 0:
         scores = scores[:, :1]

@@ -13,6 +13,9 @@ position of the first member whose sigma each tuple matches.  Every rejected
 trial's witness is lifted back to domain points and re-checked against f,
 all of a block's at once, so a function that is actually free can never be
 rejected.
+The exact distance to degree-<=d tables reads the inverse search's rows of
+degree >= 2 parts: p Fourier transforms per row score every affine shift
+at once, with no table per polynomial.
 Wherever a budget can bind, results are tri-state (True / False / None for
 inconclusive) and accept-side conclusions are only drawn from definitive
 results.
@@ -35,8 +38,9 @@ from .field import (
     canonical_indices,
     combination_indices,
     disagreement_count,
+    fourier_means,
     index_digits,
-    index_to_vec,
+    unit_roots,
 )
 from .factor import PolynomialFactor, cell_index_array, cell_of_index
 from .forms import (
@@ -49,8 +53,7 @@ from .forms import (
     scan_grid,
     tensor_row_space,
 )
-from . import forms, gflinalg
-from .poly import Polynomial, monomials_up_to_degree
+from . import forms, gflinalg, gowers
 
 DEFAULT_TUPLE_BUDGET = 1 << 24
 DEFAULT_NODE_BUDGET = 1 << 20
@@ -493,22 +496,6 @@ def affine_subspace_test(
     return TestReport(verdict, trials, rejections, first_witness, seed, rate, stderr, inconclusive)
 
 
-def enumerate_degree_tables(params: FieldParams, max_degree: int, budget: int = 1 << 20):
-    """Yield value arrays (0-based field values) of every polynomial of degree
-    at most max_degree, in canonical coefficient order."""
-    monos = monomials_up_to_degree(params.p, params.n, max_degree)
-    k = len(monos)
-    total = params.p**k
-    if total > budget:
-        raise BudgetError(f"table family p^{k} = {total} exceeds budget {budget}")
-    mono_vals = np.stack(
-        [Polynomial.from_monomials(params.p, params.n, {e: 1}).values() for e in monos]
-    )
-    coeff_space = FieldParams(params.p, k)
-    for pid in range(total):
-        yield np.array(index_to_vec(pid, coeff_space), dtype=np.int64) @ mono_vals % params.p
-
-
 def distance_to_enumerable_property(
     f: FunctionTable,
     max_degree: int | None = None,
@@ -517,8 +504,18 @@ def distance_to_enumerable_property(
 ) -> float:
     """Exact min distance to degree-<=d tables or to an explicit table list.
 
-    The polynomial property requires R = p with the fixed bijection
-    label i <-> field value i-1.
+    The polynomial property requires R = p with the fixed bijection label
+    i <-> field value i-1.  Its p^(#monomials) candidates are charged against
+    budget and scored from the rows Q of gowers.coset_rows, as in the
+    inverse search: with r = f - 1 - Q, f agrees with Q + lambda . x + c at
+
+        N = p^(n-1) sum_t e_p(-tc) E_x e_p(t r(x)) e_p(-t lambda . x)
+
+    points, read for every lambda from fourier_means of e_p(t r) and for
+    every c from one length-p fourier_means over t (lambda = 0 only when
+    d = 0).  Blocks of rows hold at most gowers.DEFAULT_SEARCH_BUDGET
+    candidates, or one row, whatever the budget.  RuntimeError is raised if
+    the largest N lies more than 1e-6 from an integer.
     """
     if (max_degree is None) == (tables is None):
         raise ValueError("specify exactly one of max_degree or tables")
@@ -527,15 +524,30 @@ def distance_to_enumerable_property(
             raise ValueError("empty property")
         best = min(Fraction(*disagreement_count(f, g)) for g in tables)
         return float(best)
-    if f.range_size != f.params.p:
+    params = f.params
+    p, n, size = params.p, params.n, params.size
+    if f.range_size != p:
         raise ValueError("polynomial property needs R = p (labels are field values + 1)")
-    target = f.values - 1
-    best = f.params.size + 1
-    for vals in enumerate_degree_tables(f.params, max_degree, budget):
-        best = min(best, int(np.count_nonzero(vals != target)))
-        if best == 0:
-            break
-    return best / f.params.size
+    _, blocks = gowers.coset_rows(
+        params, max_degree, budget, max(1, gowers.DEFAULT_SEARCH_BUDGET // (p * size))
+    )
+    cols = 1 if max_degree == 0 else size
+    roots, target = unit_roots(p), f.values - 1
+    best = 0.0
+    for q_vals in blocks:
+        resid = (target - q_vals) % p
+        # twisted[q, lambda, t] = E_x e_p(t r(x)) e_p(-t lambda . x), 1 at t = 0:
+        # entry -t lambda of transform t, each axis of its (p,)*n cube permuted
+        twisted = np.ones((len(q_vals), cols, p), dtype=np.complex128)
+        for t in range(1, p):
+            cube = fourier_means(roots[resid * t % p], params).reshape((-1,) + (p,) * n)
+            axes = np.ix_(*[-t * np.arange(p) % p] * n)
+            twisted[..., t] = cube[(slice(None),) + axes].reshape(len(q_vals), -1)[:, :cols]
+        best = max(best, float(fourier_means(twisted, FieldParams(p, 1)).real.max()))
+    agree = best * size
+    if abs(agree - round(agree)) > 1e-6:
+        raise RuntimeError(f"largest agreement {agree!r} is not an integer")
+    return (size - round(agree)) / size
 
 
 @dataclass(frozen=True)

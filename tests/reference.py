@@ -1,7 +1,12 @@
 """Small-n oracles shared by the test modules.  They index points digit by
 digit and gather through flat int64 index grids, so they share no code with
-the library kernels they check."""
+the library kernels they check; the distance oracle builds one table per
+polynomial, sharing only the monomial list and polynomial values with the
+coset transform it checks."""
 import numpy as np
+
+from affinetest.field import BudgetError, FieldParams, index_to_vec
+from affinetest.poly import Polynomial, monomials_up_to_degree
 
 
 def domain_coords(params):
@@ -46,3 +51,24 @@ def reference_matches(values, grids, targets):
     for arr, t in zip(grids[1:], targets[1:]):
         ok &= values[arr] == t
     return ok
+
+
+def reference_distance_to_degree(f, max_degree, budget=1 << 20):
+    """Exact distance of f (labels = field values + 1) to the tables of
+    degree <= max_degree, by one table per coefficient vector over
+    monomials_up_to_degree, each compared with f point by point."""
+    params = f.params
+    monos = monomials_up_to_degree(params.p, params.n, max_degree)
+    total = params.p ** len(monos)
+    if total > budget:
+        raise BudgetError(f"table family p^{len(monos)} = {total} exceeds budget {budget}")
+    mono_vals = np.stack(
+        [Polynomial.from_monomials(params.p, params.n, {e: 1}).values() for e in monos]
+    )
+    coeff_space = FieldParams(params.p, len(monos))
+    target = f.values - 1
+    best = params.size
+    for pid in range(total):
+        vals = np.array(index_to_vec(pid, coeff_space), dtype=np.int64) @ mono_vals % params.p
+        best = min(best, int(np.count_nonzero(vals != target)))
+    return best / params.size

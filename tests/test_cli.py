@@ -264,6 +264,21 @@ def test_distance_rejects_nonpositive_budget(free_table):
         assert main(argv) == 64
 
 
+def test_distance_negative_degree_is_a_usage_error(free_table, capsys):
+    argv = ["distance", "--function", str(free_table), "--max-degree", "-1"]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "degree must be >= 0, got -1" in err and "need at least one array" not in err
+
+
+def test_distance_over_budget_exits_2(free_table, capsys):
+    # 2^(1 + 5 + 10) polynomials of degree <= 2 on F_2^5
+    argv = ["distance", "--function", str(free_table), "--max-degree", "2"]
+    assert main(argv + ["--budget", str(2**16 - 1)]) == 2
+    assert "p^16 = 65536 exceeds budget 65535" in capsys.readouterr().err
+    assert main(argv + ["--budget", str(2**16)]) == 0
+
+
 def _damage(data, text: str) -> str:
     """Cut `text`, replace one of its tokens, or drop or repeat one line."""
     kind = data.draw(st.sampled_from(["cut", "token", "line"]), label="kind")

@@ -143,6 +143,18 @@ def test_real_table_round_trip():
     assert np.array_equal(back.values, t.values)
 
 
+def test_table_writers_spell_values_exactly():
+    reals = [0.0, -0.0, 5e-324, 1e16, -2.5, 1 / 3, 1e300, 123456789.0, -1e-7]
+    text = dump_real_table(RealTable(FieldParams(3, 2), reals))
+    assert text == (
+        "3 2\n0.0 -0.0 5e-324 1e+16 -2.5 0.3333333333333333 1e+300 123456789.0 -1e-07\n"
+    )
+    assert np.array_equal(parse_real_table(text).values, reals)
+    assert np.signbit(parse_real_table(text).values[1])
+    labels = FunctionTable(FieldParams(2, 3), 12, [1, 12, 3, 10, 7, 1, 2, 11])
+    assert dump_function_table(labels) == "2 3 12\n1 12 3 10 7 1 2 11\n"
+
+
 @pytest.mark.parametrize(
     "parse,text",
     [

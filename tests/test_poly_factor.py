@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -24,7 +24,7 @@ from affinetest import (
     polynomial_bias,
     represents,
 )
-from affinetest.factor import PolynomialFactor, dump_factor, parse_factor
+from affinetest.factor import PolynomialFactor, dump_factor, label_frequencies, parse_factor
 from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
 from affinetest.poly import monomials_up_to_degree
@@ -527,3 +527,23 @@ def test_factor_file_round_trip():
     back, params = parse_factor(text)
     assert back == factor and params == FieldParams(3, 3)
     assert dump_factor(back, params) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    ncells=st.integers(1, 50),
+    points=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=80),
+)
+@example(r=2, ncells=4, points=[])  # an empty subcell
+@example(r=1, ncells=3, points=[(0, 0), (2, 5), (2, 1)])
+@example(r=4, ncells=9, points=[(1, 3), (8, 0), (1, 2)])  # more cells than points
+def test_label_frequencies_matches_per_label_bincounts(r, ncells, points):
+    idx = np.array([c % ncells for c, _ in points], dtype=np.int64)
+    values = np.array([v % r + 1 for _, v in points], dtype=np.int64)
+    counts, freq = label_frequencies(idx, values, r, ncells)
+    assert np.array_equal(counts, np.bincount(idx, minlength=ncells))
+    assert freq.shape == (r, ncells)
+    for label in range(1, r + 1):
+        weights = (values == label).astype(np.float64)
+        assert np.array_equal(freq[label - 1], np.bincount(idx, weights=weights, minlength=ncells))

@@ -28,15 +28,20 @@ from affinetest import (
     super_decompose,
     violation_density,
 )
-from affinetest import forms, tester
+from affinetest import forms, gflinalg, gowers, tester
 from affinetest.decompose import SelectionError
 from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
-from affinetest.field import index_to_vec
+from affinetest.field import BudgetError, RealTable, canonical_indices, index_digits, index_to_vec
 from affinetest.forms import CellImage, eval_form, make_concise_collection
 from affinetest.tester import violation_count
-from affinetest.poly import Polynomial
+from affinetest.gowers import inverse_gowers_search
+from affinetest.poly import Polynomial, monomials_up_to_degree
 from affinetest import fixtures
-from reference import reference_grid_point_indices, reference_matches
+from reference import (
+    reference_distance_to_degree,
+    reference_grid_point_indices,
+    reference_matches,
+)
 
 
 def brute_occurrences(f, ic):
@@ -612,6 +617,76 @@ def test_distance_requires_field_sized_range():
     f = fixtures.random_function(2, 3, 3, seed=12)
     with pytest.raises(ValueError):
         distance_to_enumerable_property(f, max_degree=1)
+
+
+# the loop oracle scores one table per polynomial; larger families in the
+# sweep were compared with it once, outside the suite
+ORACLE_TABLES = 1 << 12
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_distance_to_degree_matches_loop_oracle(p):
+    for d, n in itertools.product(range(4), range(6)):
+        params = FieldParams(p, n)
+        rng = np.random.default_rng([p, d, n])
+        above = {e: int(rng.integers(0, p)) for e in monomials_up_to_degree(p, n, d + 1)}
+        tables = [rng.integers(1, p + 1, params.size), Polynomial.from_monomials(p, n, above).values() + 1]
+        family = p ** len(monomials_up_to_degree(p, n, d))
+        for vals in tables:
+            f = FunctionTable(params, p, vals)
+            if family > 1 << 20:
+                with pytest.raises(BudgetError, match=f"= {family} exceeds"):
+                    distance_to_enumerable_property(f, max_degree=d)
+            elif family <= ORACLE_TABLES:
+                assert distance_to_enumerable_property(f, max_degree=d) == (
+                    reference_distance_to_degree(f, d)
+                )
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (3, 0), (4, 1), (5, 2), (8, 1), (12, 1)])
+def test_distance_at_p2_is_half_the_correlation_gap(n, d):
+    # agreement with P or P + 1 is (2^n + |sum_x (-1)^(f(x) - 1 + P(x))|) / 2
+    f = fixtures.random_function(2, n, 2, seed=n + d)
+    signs = RealTable(f.params, 1.0 - 2.0 * (f.values - 1))
+    corr = inverse_gowers_search(signs, d).correlation
+    size = f.params.size
+    assert size * distance_to_enumerable_property(f, max_degree=d) == size * (1 - corr) / 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 4),
+    d=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_to_degree_is_affine_invariant(p, n, d, seed):
+    params = FieldParams(p, n)
+    if p ** len(monomials_up_to_degree(p, n, d)) > 1 << 20:
+        return
+    rng = np.random.default_rng(seed)
+    f = FunctionTable(params, p, rng.integers(1, p + 1, params.size))
+    a = gflinalg.random_invertible(rng, n, p)
+    c = rng.integers(0, p, n)
+    moved = canonical_indices(index_digits(np.arange(params.size), params) @ a.T + c, params)
+    g = f.with_values(f.values[moved])
+    assert distance_to_enumerable_property(g, max_degree=d) == (
+        distance_to_enumerable_property(f, max_degree=d)
+    )
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 5, 2), (3, 3, 2), (5, 2, 2), (7, 2, 1), (3, 2, 0)])
+def test_distance_in_one_row_blocks_is_unchanged(monkeypatch, p, n, d):
+    f = fixtures.random_function(p, n, p, seed=p * n + d)
+    whole = distance_to_enumerable_property(f, max_degree=d)
+    monkeypatch.setattr(gowers, "DEFAULT_SEARCH_BUDGET", 1)
+    assert distance_to_enumerable_property(f, max_degree=d) == whole
+
+
+def test_distance_rejects_negative_degree():
+    f = fixtures.random_function(2, 3, 2, seed=12)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        distance_to_enumerable_property(f, max_degree=-1)
 
 
 def test_big_picture_examples():
