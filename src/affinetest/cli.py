@@ -8,17 +8,14 @@ identical (argv, seed, input files).
 
 Exit codes: 0 success/accept; 1 reject or falsified experiment check;
 2 budget exhausted or inconclusive; 64 usage error.
-
-The AFFINETEST_BUDGET environment variable overrides the default enumeration
-budget.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +56,15 @@ from .forms import (
     mixed_dimension,
     parse_collection,
 )
-from .gowers import gowers_norm
+from .gowers import DEFAULT_SAMPLES, gowers_norm
 from .tester import affine_subspace_test, distance_to_enumerable_property
 
 EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+# enumeration budget of gowers, factor-stats, test and distance
+BUDGET = 1 << 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +72,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_budget() -> int:
-    return int(os.environ.get("AFFINETEST_BUDGET", 1 << 24))
 
 
 def _positive_int(text: str) -> int:
@@ -121,14 +116,9 @@ def cmd_gowers(args) -> int:
         f = load_function_table(args.function)
         table = f.indicator_slice(args.slice)
     res = gowers_norm(
-        table, args.k, mode=args.mode, budget=_default_budget(),
-        samples=args.samples, seed=args.seed,
+        table, args.k, mode=args.mode, budget=BUDGET, samples=args.samples, seed=args.seed,
     )
-    doc = {
-        "value": res.value, "stderr": res.stderr, "mode": res.mode,
-        "samples": res.samples, "seed": res.seed,
-    }
-    _emit(args, doc, f"U^{args.k} = {res.value!r} (stderr {res.stderr!r}, {res.mode})")
+    _emit(args, asdict(res), f"U^{args.k} = {res.value!r} (stderr {res.stderr!r}, {res.mode})")
     return EXIT_OK
 
 
@@ -159,7 +149,7 @@ def cmd_consistency(args) -> int:
 
 def cmd_factor_stats(args) -> int:
     factor, params = load_factor(args.factor)
-    hist = cell_histogram(factor, params, budget=_default_budget())
+    hist = cell_histogram(factor, params, budget=BUDGET)
     cert = bias_certificate(factor, params, seed=args.seed)
     counts = sorted(hist.values())
     idx = degree_index(factor)
@@ -247,7 +237,7 @@ def cmd_test(args) -> int:
     col, _ = _load_constraints(args.constraints)
     report = affine_subspace_test(
         f, col, ell_test=args.ell, trials=args.trials, seed=args.seed,
-        budget=args.budget or _default_budget(),
+        budget=args.budget,
     )
     doc = report.as_dict()
     _emit(
@@ -267,7 +257,7 @@ def cmd_distance(args) -> int:
     f = load_function_table(args.function)
     if args.max_degree is not None:
         val = distance_to_enumerable_property(
-            f, max_degree=args.max_degree, budget=args.budget or _default_budget()
+            f, max_degree=args.max_degree, budget=args.budget
         )
     else:
         tables = [load_function_table(p) for p in args.tables]
@@ -291,10 +281,7 @@ def cmd_experiment(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] criterion {name} {r.name}: {r.detail} ({r.seconds:.1f}s)")
     doc = {
-        "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
         "tolerances": {r.name: acceptance.TOLERANCES[r.name] for r in results},
     }
     passed = sum(r.passed for r in results)
@@ -369,7 +356,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--slice", type=int, default=1)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
-    sp.add_argument("--samples", type=_positive_int, default=50000)
+    sp.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("dimension", cmd_dimension, help="(d_1, ..., d_C)-dimension of a constraint")
@@ -392,11 +379,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--zeta", type=float, default=0.1)
+    sp.add_argument("--zeta", type=float, default=DecompositionConfig.zeta)
     sp.add_argument("--base", help="base factor file (strong mode)")
-    sp.add_argument("--max-factor-size", type=int, default=16)
-    sp.add_argument("--max-iterations", type=int, default=64)
-    sp.add_argument("--search-budget", type=int, default=1 << 20)
+    sp.add_argument("--max-factor-size", type=int, default=DecompositionConfig.max_factor_size)
+    sp.add_argument("--max-iterations", type=int, default=DecompositionConfig.max_iterations)
+    sp.add_argument("--search-budget", type=int, default=DecompositionConfig.search_budget)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
@@ -422,13 +409,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--ell", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=_positive_int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=BUDGET)
 
     sp = add("distance", cmd_distance, help="exact distance to an enumerable property")
     sp.add_argument("--function", required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--tables", nargs="*", default=[])
-    sp.add_argument("--budget", type=_positive_int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=BUDGET)
 
     sp = add("experiment", cmd_experiment, help="run the acceptance suite")
     sp.add_argument("--only", nargs="*", help="criterion numbers or names")

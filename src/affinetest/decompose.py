@@ -14,13 +14,23 @@ bias 1) aborts with a diagnostic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gflinalg
-from .field import BudgetError, FieldParams, FunctionTable, RealTable, canonical_index
+from .field import (
+    BudgetError,
+    FieldParams,
+    FunctionTable,
+    RealTable,
+    canonical_index,
+    load_real_table,
+    save_real_table,
+)
 from .factor import (
     BiasCertificate,
     PolynomialFactor,
@@ -28,10 +38,13 @@ from .factor import (
     cell_index_array,
     conditional_expectation,
     density_index,
+    dump_factor,
     label_frequencies,
+    parse_factor,
     represents,
 )
 from .gowers import (
+    DEFAULT_SEARCH_BUDGET,
     GowersResult,
     gowers_norm,
     inverse_gowers_search,
@@ -79,7 +92,7 @@ class DecompositionConfig:
     zeta: float = 0.1
     max_factor_size: int = 16
     max_iterations: int = 64
-    search_budget: int = 1 << 20
+    search_budget: int = DEFAULT_SEARCH_BUDGET
     seed: int = 0
 
     def __post_init__(self):
@@ -138,11 +151,17 @@ def _affinely_independent(factor: PolynomialFactor, poly) -> bool:
     return not gflinalg.in_rowspan(np.array(rows, dtype=np.int64), vec, p)
 
 
+def _residual(f_slice: RealTable, factor: PolynomialFactor) -> RealTable:
+    """f - E[f|B] on one slice."""
+    expect = conditional_expectation(f_slice, factor)
+    return RealTable(f_slice.params, f_slice.values - expect.values)
+
+
 def refine_step(
     f_slice: RealTable,
     factor: PolynomialFactor,
     d: int,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> PolynomialFactor | None:
     """One growth step: append the best degree-<=d witness for the residual.
 
@@ -151,11 +170,7 @@ def refine_step(
     density index exceeds the old one by at least the witness correlation
     squared.
     """
-    resid = RealTable(
-        f_slice.params,
-        f_slice.values - conditional_expectation(f_slice, factor).values,
-    )
-    witness = inverse_gowers_search(resid, d, budget)
+    witness = inverse_gowers_search(_residual(f_slice, factor), d, budget)
     if witness.correlation <= CORRELATION_FLOOR:
         return None
     if d == 1 and not _affinely_independent(factor, witness.polynomial):
@@ -170,8 +185,8 @@ def robust_refine(
     factor: PolynomialFactor,
     gamma,
     d: int,
-    budget: int = 1 << 20,
-    max_factor_size: int = 16,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    max_factor_size: int = DecompositionConfig.max_factor_size,
     trace: list | None = None,
 ) -> PolynomialFactor:
     """Grow the factor while some slice admits a single step of realized
@@ -210,19 +225,16 @@ def robust_refine(
 
 def _slice_gowers(
     fs: Sequence[RealTable], factor: PolynomialFactor, k: int, seed: int
-) -> tuple[list[RealTable], list[GowersResult]]:
-    resids, norms = [], []
+) -> list[GowersResult]:
+    """U^k norm of each slice's residual, Monte-Carlo where exact is over budget."""
+    norms = []
     for f_slice in fs:
-        r = RealTable(
-            f_slice.params,
-            f_slice.values - conditional_expectation(f_slice, factor).values,
-        )
-        resids.append(r)
+        r = _residual(f_slice, factor)
         try:
             norms.append(gowers_norm(r, k))
         except BudgetError:
             norms.append(gowers_norm(r, k, mode="monte_carlo", seed=seed))
-    return resids, norms
+    return norms
 
 
 def _within(g: GowersResult, bound: float) -> bool:
@@ -244,7 +256,7 @@ def _gowers_certified(
     eta(current size); certification fails when budgets bind first."""
     cur = factor
     for _ in range(cfg.max_iterations * max(len(fs), 1)):
-        _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
+        norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
         bound = eta_fn(cur.complexity)
         if all(_within(g, bound) for g in norms):
             return cur, norms, True
@@ -269,7 +281,7 @@ def _gowers_certified(
             break
     else:
         # the loop ran out on a step, so cur changed after the last norms
-        _, norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
+        norms = _slice_gowers(fs, cur, d + 1, cfg.seed)
     certified = all(_within(g, eta_fn(cur.complexity)) for g in norms)
     if trace is not None and not certified:
         trace.append({"event": "gowers_budget_exhausted", "size": cur.complexity})
@@ -314,31 +326,28 @@ def strong_decompose(
         fs, factor0, lambda c: delta_fn(c) ** 2, d, cfg.search_budget,
         cfg.max_factor_size, trace,
     )
-    inner = coarse
     certified_l2 = False
-    gnorms: list[GowersResult] = []
-    gcert = False
-    for _ in range(cfg.max_iterations):
+    for _ in range(cfg.max_iterations):  # at least once: the config checks it
         inner, gnorms, gcert = _gowers_certified(fs, coarse, eta_fn, d, cfg, trace)
         f1 = [conditional_expectation(s, coarse) for s in fs]
         f_inner = [conditional_expectation(s, inner) for s in fs]
         f3 = _tables_sub(f_inner, f1)
-        l2s = [t.l2_norm() for t in f3]
-        if max(l2s) <= delta_fn(coarse.complexity):
+        l2_f3 = max(t.l2_norm() for t in f3)
+        if l2_f3 <= delta_fn(coarse.complexity):
             certified_l2 = True
             break
-        trace.append({"event": "l2_absorb", "l2": max(l2s), "bound": delta_fn(coarse.complexity)})
+        trace.append({"event": "l2_absorb", "l2": l2_f3, "bound": delta_fn(coarse.complexity)})
         coarse = inner
-    f1 = tuple(conditional_expectation(s, coarse) for s in fs)
-    f_inner = [conditional_expectation(s, inner) for s in fs]
-    f2 = _tables_sub(list(fs), f_inner)
-    f3 = _tables_sub(f_inner, list(f1))
+    else:
+        # the loop ran out on an absorb step, so coarse has become inner
+        f1, f3 = f_inner, _tables_sub(f_inner, f_inner)
+        l2_f3 = max(t.l2_norm() for t in f3)
     bias_c = bias_certificate(coarse, params)
     _check_degeneracy(bias_c, d)
     certs = Certificates(
         gowers=tuple(gnorms),
         gowers_bound=eta_fn(inner.complexity),
-        l2_f3=max(t.l2_norm() for t in f3),
+        l2_f3=l2_f3,
         l2_bound=delta_fn(coarse.complexity),
         bias_coarse=bias_c,
         bias_fine=bias_c,
@@ -347,8 +356,8 @@ def strong_decompose(
     return DecompositionResult(
         factor_coarse=coarse,
         factor_fine=coarse,
-        f1=f1,
-        f2=f2,
+        f1=tuple(f1),
+        f2=_tables_sub(fs, f_inner),
         f3=f3,
         subcell=None,
         certificates=certs,
@@ -428,6 +437,8 @@ def _subcell_frequencies(
     counts of the cell and of its subcell s, and each label's frequency
     [label - 1, cell] in both (0 where empty)."""
     p, r, ncells = f.params.p, f.range_size, f.params.p**cc
+    if not all(0 <= v < p for v in s):
+        raise ValueError(f"subcell digits must lie in [0, {p}), got {' '.join(map(str, s))}")
     fine_idx = cell_index_array(fine, f.params)
     coarse_idx = fine_idx % ncells
     in_sub = fine_idx // ncells == canonical_index(s, FieldParams(p, len(s)))
@@ -506,53 +517,30 @@ def select_subcell(
     )
 
 
+_SUMMARY = ("certificates", "certified", "factor_coarse", "factor_fine", "subcell", "tables")
+_TABLES = ("f1", "f2", "f3")
+
+
 def save_result(res: DecompositionResult, out_dir, params: FieldParams) -> None:
     """Write a DecompositionResult as summary.json (factors inline, tables by
-    path), the per-label real tables, and trace.jsonl."""
-    import json
-    from pathlib import Path
-
-    from .factor import dump_factor
-    from .field import save_real_table
-
+    path, certificates by their dataclass fields), the per-label real tables,
+    and trace.jsonl."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table_paths: dict[str, list[str]] = {}
-    for name, tables in (("f1", res.f1), ("f2", res.f2), ("f3", res.f3)):
-        paths = []
-        for i, t in enumerate(tables):
+    for name in _TABLES:
+        paths = table_paths[name] = []
+        for i, t in enumerate(getattr(res, name)):
             rel = f"{name}_{i + 1}.real"
             save_real_table(t, out / rel)
             paths.append(rel)
-        table_paths[name] = paths
-    certs = res.certificates
     doc = {
         "factor_coarse": dump_factor(res.factor_coarse, params),
         "factor_fine": dump_factor(res.factor_fine, params),
         "tables": table_paths,
-        "subcell": list(res.subcell) if res.subcell is not None else None,
+        "subcell": res.subcell,
         "certified": res.certified,
-        "certificates": {
-            "gowers": [
-                {"value": g.value, "stderr": g.stderr, "mode": g.mode,
-                 "samples": g.samples, "seed": g.seed}
-                for g in certs.gowers
-            ],
-            "gowers_bound": certs.gowers_bound,
-            "l2_f3": certs.l2_f3,
-            "l2_bound": certs.l2_bound,
-            "bias_coarse": {
-                "max_bias": certs.bias_coarse.max_bias,
-                "checked_combinations": certs.bias_coarse.checked_combinations,
-                "exhaustive": certs.bias_coarse.exhaustive,
-            },
-            "bias_fine": {
-                "max_bias": certs.bias_fine.max_bias,
-                "checked_combinations": certs.bias_fine.checked_combinations,
-                "exhaustive": certs.bias_fine.exhaustive,
-            },
-            "represents": certs.represents,
-        },
+        "certificates": asdict(res.certificates),
     }
     (out / "summary.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     with (out / "trace.jsonl").open("w") as fh:
@@ -560,42 +548,45 @@ def save_result(res: DecompositionResult, out_dir, params: FieldParams) -> None:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _fields(doc, names: Sequence[str], what: str) -> dict:
+    """doc, which must be a JSON object with exactly the keys `names`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing, unexpected = set(names) - doc.keys(), doc.keys() - set(names)
+    problems = [
+        f"{kind} field(s) {', '.join(sorted(keys))}"
+        for kind, keys in (("missing", missing), ("unexpected", unexpected))
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}")
+    return doc
+
+
+def _record(cls, doc, what: str):
+    """The dataclass cls built by keyword from a JSON object of its fields."""
+    return cls(**_fields(doc, [f.name for f in fields(cls)], what))
+
+
 def load_result(out_dir) -> DecompositionResult:
-    """Inverse of save_result (trace is not reloaded)."""
-    import json
-    from pathlib import Path
-
-    from .factor import parse_factor
-    from .field import load_real_table
-    from .gowers import GowersResult
-
+    """Inverse of save_result (trace is not reloaded).  A missing or
+    unexpected field in summary.json raises a ValueError that names it."""
     out = Path(out_dir)
-    doc = json.loads((out / "summary.json").read_text())
+    doc = _fields(json.loads((out / "summary.json").read_text()), _SUMMARY, "summary.json")
     coarse, _ = parse_factor(doc["factor_coarse"])
     fine, _ = parse_factor(doc["factor_fine"])
-    tables = {
-        name: tuple(load_real_table(out / rel) for rel in rels)
-        for name, rels in doc["tables"].items()
-    }
-    c = doc["certificates"]
-    certs = Certificates(
-        gowers=tuple(
-            GowersResult(g["value"], g["stderr"], g["mode"], g["samples"], g["seed"])
-            for g in c["gowers"]
-        ),
-        gowers_bound=c["gowers_bound"],
-        l2_f3=c["l2_f3"],
-        l2_bound=c["l2_bound"],
-        bias_coarse=BiasCertificate(**c["bias_coarse"]),
-        bias_fine=BiasCertificate(**c["bias_fine"]),
-        represents=c["represents"],
-    )
+    tables = _fields(doc["tables"], _TABLES, "summary.json tables")
+    c = _fields(doc["certificates"], [f.name for f in fields(Certificates)], "certificates")
+    certs = Certificates(**{
+        **c,
+        "gowers": tuple(_record(GowersResult, g, "gowers certificate") for g in c["gowers"]),
+        "bias_coarse": _record(BiasCertificate, c["bias_coarse"], "bias_coarse"),
+        "bias_fine": _record(BiasCertificate, c["bias_fine"], "bias_fine"),
+    })
     return DecompositionResult(
         factor_coarse=coarse,
         factor_fine=fine,
-        f1=tables["f1"],
-        f2=tables["f2"],
-        f3=tables["f3"],
+        **{name: tuple(load_real_table(out / rel) for rel in tables[name]) for name in _TABLES},
         subcell=tuple(doc["subcell"]) if doc["subcell"] is not None else None,
         certificates=certs,
         certified=doc["certified"],

@@ -34,6 +34,8 @@ def random_real_table(p: int, n: int, seed: int, lo: float = -1.0, hi: float = 1
 
 def degree_d_table(p: int, n: int, d: int, seed: int) -> FunctionTable:
     """A table of a random polynomial of degree <= d; labels = values + 1, R = p."""
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
     params = FieldParams(p, n)
     rng = rng_for(seed, 0xD)
     monos = monomials_up_to_degree(p, n, d)
@@ -44,6 +46,8 @@ def degree_d_table(p: int, n: int, d: int, seed: int) -> FunctionTable:
 
 def random_polynomial(p: int, n: int, d: int, rng: np.random.Generator) -> Polynomial:
     """Random polynomial of degree exactly d (nonzero top part)."""
+    if not 0 <= d <= n * (p - 1):
+        raise ValueError(f"degree must lie in [0, n(p - 1)] = [0, {n * (p - 1)}], got {d}")
     monos = monomials_up_to_degree(p, n, d)
     while True:
         coeffs = {e: int(rng.integers(0, p)) for e in monos}
@@ -52,7 +56,7 @@ def random_polynomial(p: int, n: int, d: int, rng: np.random.Generator) -> Polyn
             return poly
 
 
-def linear_factor(p: int, n: int, c: int, seed: int, constants: bool = False) -> PolynomialFactor:
+def linear_factor(p: int, n: int, c: int, seed: int) -> PolynomialFactor:
     """C degree-1 polynomials with linearly independent linear parts."""
     if c > n:
         raise ValueError("cannot have more than n independent linear polynomials")
@@ -66,8 +70,7 @@ def linear_factor(p: int, n: int, c: int, seed: int, constants: bool = False) ->
         if rows and gflinalg.in_rowspan(np.array(rows), vec, p):
             continue
         rows.append(vec)
-        const = int(rng.integers(0, p)) if constants else 0
-        polys.append(Polynomial.linear(p, n, [int(v) for v in vec], const))
+        polys.append(Polynomial.linear(p, n, [int(v) for v in vec]))
     return PolynomialFactor(tuple(polys))
 
 
@@ -104,8 +107,8 @@ def derivative_collection(p: int) -> ConstraintCollection:
 
 def ap_constraint(p: int, k: int, sigma=None) -> InducedConstraint:
     """k-term arithmetic progression forms (X1, X1+X2, ..., X1+(k-1)X2)."""
-    if k > p:
-        raise ValueError("k-term AP needs k <= p for distinct forms")
+    if not 1 <= k <= p:
+        raise ValueError(f"k-term AP needs 1 <= k <= p for distinct forms, got k = {k}")
     rows = [(1, j % p) for j in range(k)]
     a = AffineConstraint.from_rows(p, rows)
     if sigma is None:

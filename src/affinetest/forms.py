@@ -192,12 +192,12 @@ def _partition_exists(target: np.ndarray, others: list[np.ndarray], parts: int, 
     return rec(0)
 
 
-def cs_complexity(forms: Sequence[LinearForm], max_forms: int = MAX_CS_FORMS) -> int | None:
+def cs_complexity(forms: Sequence[LinearForm]) -> int | None:
     """Minimal s such that each form can be separated from the rest by an
     (s+1)-part partition avoiding its span; None if no finite s exists.
 
     Exhaustive backtracking over set partitions with span checks by Gaussian
-    elimination.  Capped at `max_forms` forms (Bell-number growth); beyond the
+    elimination.  Capped at MAX_CS_FORMS forms (Bell-number growth); beyond the
     cap a BudgetError reports the untried lower bound.
     """
     m = len(forms)
@@ -206,8 +206,8 @@ def cs_complexity(forms: Sequence[LinearForm], max_forms: int = MAX_CS_FORMS) ->
     p = forms[0].p
     if any(f.p != p or f.ell != forms[0].ell for f in forms):
         raise ValueError("forms must share p and variable count")
-    if m > max_forms:
-        raise BudgetError(f"cs_complexity capped at {max_forms} forms; result unknown >= 0")
+    if m > MAX_CS_FORMS:
+        raise BudgetError(f"cs_complexity capped at {MAX_CS_FORMS} forms; result unknown >= 0")
     vecs = [np.array(f.coeffs, dtype=np.int64) for f in forms]
     # s = m-2 always suffices via singleton classes unless some pair is
     # proportional, in which case no s works.
@@ -226,7 +226,7 @@ def cs_complexity(forms: Sequence[LinearForm], max_forms: int = MAX_CS_FORMS) ->
 # --- tensor powers and dimension -------------------------------------------
 
 
-def tensor_power(form: LinearForm, d: int, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
+def tensor_power(form: LinearForm, d: int) -> np.ndarray:
     """The d-th tensor power of a form as a vector in F_p^(l^d).
 
     Entry at multi-index (i_1, ..., i_d) is prod_j coeffs[i_j], stored at the
@@ -235,7 +235,7 @@ def tensor_power(form: LinearForm, d: int, max_entries: int = MAX_TENSOR_ENTRIES
     if d < 1:
         raise ValueError("d must be >= 1")
     ell = form.ell
-    if ell**d > max_entries:
+    if ell**d > MAX_TENSOR_ENTRIES:
         raise BudgetError(f"tensor power size {ell}^{d} exceeds budget")
     vec = np.array(form.coeffs, dtype=np.int64)
     out = np.array([1], dtype=np.int64)
@@ -244,20 +244,18 @@ def tensor_power(form: LinearForm, d: int, max_entries: int = MAX_TENSOR_ENTRIES
     return out
 
 
-def dimension_d(forms: Sequence[LinearForm], d: int, max_entries: int = MAX_TENSOR_ENTRIES) -> int:
+def dimension_d(forms: Sequence[LinearForm], d: int) -> int:
     """Rank over F_p of the d-th tensor powers of the forms."""
     p = forms[0].p
-    mat = np.vstack([tensor_power(f, d, max_entries) for f in forms])
+    mat = np.vstack([tensor_power(f, d) for f in forms])
     return gflinalg.rank(mat, p)
 
 
-def mixed_dimension(
-    forms: Sequence[LinearForm], degrees: Sequence[int], max_entries: int = MAX_TENSOR_ENTRIES
-) -> int:
+def mixed_dimension(forms: Sequence[LinearForm], degrees: Sequence[int]) -> int:
     """The (d_1, ..., d_C)-dimension: sum_i dimension_d(forms, d_i)."""
     if any(d < 1 for d in degrees):
         raise ValueError("all degrees must be >= 1")
-    return sum(dimension_d(forms, d, max_entries) for d in degrees)
+    return sum(dimension_d(forms, d) for d in degrees)
 
 
 # --- change of view and conciseness ----------------------------------------

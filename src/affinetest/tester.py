@@ -111,16 +111,9 @@ class TestReport:
     inconclusive_trials: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "rejections": self.rejections,
-            "witness": [list(q) for q in self.witness.points] if self.witness else None,
-            "seed": self.seed,
-            "empirical_rejection_rate": self.empirical_rejection_rate,
-            "stderr": self.stderr,
-            "inconclusive_trials": self.inconclusive_trials,
-        }
+        """The report's fields, with the witness as its list of points."""
+        witness = [list(q) for q in self.witness.points] if self.witness else None
+        return {**vars(self), "witness": witness}  # asdict would deep-copy the witness
 
 
 def _grid_tuples(flats: np.ndarray, ell: int, params: FieldParams) -> np.ndarray:
@@ -239,10 +232,10 @@ class _GridCheck:
         self.shape = (sub.size,) * constraint.ell
         total = sub.size**constraint.ell
         self.views = grid_point_indices(constraint.forms, sub) if total <= budget else None
-        self.sigmas = np.zeros((len(members), constraint.size), dtype=np.int64)
-        for i in positions:
-            self.sigmas[i] = members[i].sigma
         live = [i for i in positions if max(members[i].sigma) <= range_size]
+        self.sigmas = np.zeros((len(members), constraint.size), dtype=np.int64)
+        for i in live:
+            self.sigmas[i] = members[i].sigma
         self.base = range_size + 1
         self.luts = []
         states = {(): 0}
@@ -500,7 +493,7 @@ def distance_to_enumerable_property(
     f: FunctionTable,
     max_degree: int | None = None,
     tables: Sequence[FunctionTable] | None = None,
-    budget: int = 1 << 20,
+    budget: int = gowers.DEFAULT_SEARCH_BUDGET,
 ) -> float:
     """Exact min distance to degree-<=d tables or to an explicit table list.
 

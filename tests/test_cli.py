@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from affinetest import fixtures
 from affinetest.cli import main
-from affinetest.factor import dump_factor, parse_factor
+from affinetest.decompose import load_result
+from affinetest.factor import dump_factor, load_factor, parse_factor, save_factor
 from affinetest.field import (
+    FieldParams,
+    disagreement_count,
     dump_function_table,
     dump_real_table,
     load_function_table,
@@ -16,7 +20,13 @@ from affinetest.field import (
     parse_real_table,
     save_function_table,
 )
-from affinetest.forms import dump_collection, parse_collection
+from affinetest.forms import (
+    dimension_d,
+    dump_collection,
+    mixed_dimension,
+    parse_collection,
+    parse_induced_constraint,
+)
 
 
 @pytest.fixture
@@ -394,3 +404,166 @@ def test_huge_prime_table_is_read_at_once(tmp_path, capsys):
     path.write_text("1000000000000000003 0 2\n1\n")
     assert main(["distance", "--function", str(path), "--max-degree", "1"]) == 64
     assert "R = p" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pinned_inputs(tmp_path, monkeypatch):
+    """The inputs of the documents under tests/pinned, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["blr_constraint", "--out", "blr.col"],
+                 ["degree_d_table", "--n", "5", "--seed", "4", "--out", "free.tab"],
+                 ["random_function", "--seed", "5", "--out", "far.tab"],
+                 ["linear_factor", "--n", "6", "--count", "1", "--seed", "1",
+                  "--out", "base.fac"]):
+        assert main(["fixture"] + argv) == 0
+    save_function_table(fixtures.layered_table(2, 5, 0, deep_cells=1, quarter=True), "layer5.tab")
+    save_function_table(fixtures.layered_table(2, 6, 1), "layer6.tab")
+    return tmp_path
+
+
+# pinned document: (the call that writes it, its exit code, where it is
+# written); the documents were written before they came from the dataclasses
+PINNED = {
+    "test_accept.json": (["test", "--constraints", "blr.col", "--function", "free.tab",
+                          "--trials", "50", "--json", "out.json"], 0, "out.json"),
+    "test_reject.json": (["test", "--constraints", "blr.col", "--function", "far.tab",
+                          "--trials", "50", "--json", "out.json"], 1, "out.json"),
+    "gowers_exact.json": (["gowers", "--function", "far.tab", "-k", "3", "--json", "out.json"],
+                          0, "out.json"),
+    "gowers_monte_carlo.json": (["gowers", "--function", "far.tab", "-k", "3", "--mode",
+                                 "monte_carlo", "--samples", "500", "--seed", "3",
+                                 "--json", "out.json"], 0, "out.json"),
+    "decompose_strong_base.json": (["decompose", "--function", "layer6.tab", "--mode", "strong",
+                                    "--degree", "1", "--base", "base.fac", "--out", "dec"],
+                                   0, "dec/summary.json"),
+    "decompose_super.json": (["decompose", "--function", "layer5.tab", "--mode", "super",
+                              "--degree", "1", "--delta", "0.25", "--eta", "0.04",
+                              "--zeta", "0.15", "--out", "dec"], 0, "dec/summary.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_json_documents_are_pinned(pinned_inputs, capsys, name):
+    argv, code, written = PINNED[name]
+    assert main(argv) == code
+    pinned = Path(__file__).parent / "pinned" / name
+    assert (pinned_inputs / written).read_bytes() == pinned.read_bytes()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.clear(), "missing field(s) certificates, certified, factor_coarse"),
+    (lambda doc: doc.pop("certified"), "missing field(s) certified"),
+    (lambda doc: doc.update(extra=1), "unexpected field(s) extra"),
+    (lambda doc: doc["tables"].pop("f2"), "missing field(s) f2"),
+    (lambda doc: doc["certificates"].pop("l2_f3"), "missing field(s) l2_f3"),
+    (lambda doc: doc["certificates"]["gowers"][0].update(k=3), "unexpected field(s) k"),
+    (lambda doc: doc["certificates"]["bias_fine"].pop("exhaustive"),
+     "missing field(s) exhaustive"),
+], ids=["empty", "no-certified", "extra", "no-f2", "no-l2_f3", "gowers-extra",
+        "bias-no-exhaustive"])
+def test_summary_fields_are_checked(pinned_inputs, capsys, edit, named):
+    assert main(PINNED["decompose_super.json"][0]) == 0
+    summary = pinned_inputs / "dec" / "summary.json"
+    doc = json.loads(summary.read_text())
+    edit(doc)
+    summary.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["select-subcell", "--function", "layer5.tab", "--result", "dec",
+                 "--delta", "0.25", "--zeta", "0.15"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
+def test_select_subcell_exits_2_when_no_subcell_passes(pinned_inputs, capsys):
+    assert main(PINNED["decompose_super.json"][0]) == 0
+    assert main(["select-subcell", "--function", "layer5.tab", "--result", "dec", "--delta",
+                 "0.0001", "--zeta", "0.001", "--max-attempts", "2", "--json", "sel.json"]) == 2
+    assert "selection failed: no subcell accepted in 2 attempts" in capsys.readouterr().out
+    assert json.loads((pinned_inputs / "sel.json").read_text())["accepted"] is False
+
+
+def test_strong_decompose_command_extends_its_base(pinned_inputs, capsys):
+    base, _ = load_factor("base.fac")
+    for out, extra in (("dec", []), ("dec_base", ["--base", "base.fac"])):
+        argv = ["decompose", "--function", "layer6.tab", "--degree", "1", "--out", out]
+        assert main(argv + extra) == 0
+        assert "mode=strong certified=True" in capsys.readouterr().out
+        res = load_result(out)
+        assert res.factor_coarse == res.factor_fine and res.certified
+        assert res.factor_coarse.is_syntactic_refinement_of(base) == bool(extra)
+
+
+def test_dimension_and_distance_tables_commands(pinned_inputs, capsys):
+    forms = fixtures.derivative_forms(2).forms
+    for degrees, want in ((["2"], dimension_d(forms, 2)),
+                          (["1", "2"], mixed_dimension(forms, (1, 2)))):
+        assert main(["dimension", "--constraints", "blr.col", "--degrees", *degrees,
+                     "--json", "dim.json"]) == 0
+        assert json.loads(Path("dim.json").read_text()) == {
+            "degrees": [int(d) for d in degrees], "dimension": want}
+    save_function_table(fixtures.random_function(2, 4, 2, seed=6), "far2.tab")
+    differ, size = disagreement_count(load_function_table("far.tab"),
+                                      load_function_table("far2.tab"))
+    for tables, distance in ((["far2.tab"], differ / size), (["far2.tab", "far.tab"], 0.0)):
+        assert main(["distance", "--function", "far.tab", "--tables", *tables,
+                     "--json", "dist.json"]) == 0
+        assert json.loads(Path("dist.json").read_text()) == {"distance": distance}
+
+
+def test_experiment_json_holds_each_result(tmp_path, capsys):
+    assert main(["experiment", "--only", "5", "--json", str(tmp_path / "exp.json")]) == 0
+    doc = json.loads((tmp_path / "exp.json").read_text())
+    (result,) = doc["results"]
+    assert sorted(result) == ["detail", "name", "passed", "seconds"] and result["passed"]
+    assert list(doc["tolerances"]) == [result["name"]]
+
+
+def test_factor_and_constraint_fixtures(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["fixture", "random_factor", "--p", "3", "--n", "3", "--count", "2",
+                 "--degree", "2", "--seed", "1", "--out", out]) == 0
+    factor, params = load_factor(out)
+    assert params == FieldParams(3, 3) and [q.degree for q in factor.polys] == [2, 2]
+    assert main(["fixture", "blr_constraint", "--p", "3", "--sigma", "1 2 3 1",
+                 "--range-size", "3", "--out", out]) == 0
+    ic, r = parse_induced_constraint(Path(out).read_text())
+    assert ic == fixtures.blr_constraint(3, (1, 2, 3, 1)) and r == 3
+    assert main(["fixture", "ap_constraint", "--p", "5", "--count", "3", "--sigma", "1 2 1",
+                 "--out", out]) == 0
+    ic, r = parse_induced_constraint(Path(out).read_text())
+    assert ic == fixtures.ap_constraint(5, 3, (1, 2, 1)) and r == 2
+    assert [form.coeffs for form in ic.constraint.forms] == [(1, 0), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fixture", "random_factor", "--degree", "5"],
+     "degree must lie in [0, n(p - 1)] = [0, 4], got 5"),
+    (["fixture", "random_factor", "--degree", "-1"],
+     "degree must lie in [0, n(p - 1)] = [0, 4], got -1"),
+    (["fixture", "degree_d_table", "--degree", "-1"], "degree must be >= 0, got -1"),
+    (["fixture", "ap_constraint", "--count", "0"],
+     "k-term AP needs 1 <= k <= p for distinct forms, got k = 0"),
+    (["cleanup", "--function", "f.tab", "--coarse", "c.fac", "--fine", "f.fac",
+      "--subcell", "5", "--zeta", "0.1"], "subcell digits must lie in [0, 2), got 5"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # each of these once looped forever, wrote a wrong file or raised a traceback
+    monkeypatch.chdir(tmp_path)
+    save_function_table(fixtures.random_function(2, 4, 2, seed=1), "f.tab")
+    save_factor(fixtures.linear_factor(2, 4, 1, seed=1), "c.fac")
+    save_factor(fixtures.linear_factor(2, 4, 2, seed=1), "f.fac")
+    assert main(argv + ["--out", "out"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
+
+
+def test_label_past_int64_never_matches(tmp_path, capsys):
+    # a member whose sigma holds a label above R is never induced, however
+    # large the label; it once overflowed the tester's int64 sigma table
+    col = tmp_path / "big.col"
+    col.write_text("2 3 4 2\n1 0 0\n1 1 0\n1 0 1\n1 1 1\n1 1 1 99999999999999999999\n")
+    func = tmp_path / "f.tab"
+    save_function_table(fixtures.random_function(2, 4, 2, seed=1), func)
+    argv = ["test", "--constraints", str(col), "--function", str(func), "--trials", "20"]
+    assert main(argv) == 0
+    assert "verdict=accept rejections=0/20" in capsys.readouterr().out

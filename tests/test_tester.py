@@ -392,10 +392,12 @@ def _mixed_collection(p):
 
 
 def _high_label_collection(p):
-    # the first member needs label p + 1 > R, so it can never match; a label
-    # code in base R would read its sigma as (1, 2, 1, 1), a later member's
+    # the first two members need a label above R, so they can never match; a
+    # label code in base R would read the first sigma as (1, 2, 1, 1), a later
+    # member's, and the second's label does not fit in int64
     high = InducedConstraint(fixtures.derivative_forms(p), (p + 1, 1, 1, 1))
-    return ConstraintCollection((high,) + fixtures.derivative_collection(p).members)
+    huge = InducedConstraint(fixtures.derivative_forms(p), (1, 1, 1, 10**20))
+    return ConstraintCollection((high, huge) + fixtures.derivative_collection(p).members)
 
 
 def _oracle_cases():
