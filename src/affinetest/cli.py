@@ -101,8 +101,10 @@ def _first_constraint(path) -> InducedConstraint:
 def cmd_complexity(args) -> int:
     col, _ = _load_constraints(args.constraints)
     rows = []
+    # members share constraints: each distinct one is computed once
+    complexity = functools.cache(lambda a: cs_complexity(a.forms))
     for ic in col.members:
-        s = cs_complexity(ic.constraint.forms)
+        s = complexity(ic.constraint)
         rows.append({"sigma": list(ic.sigma), "complexity": s})
         print(f"sigma={list(ic.sigma)} complexity={s}")
     _emit(args, {"constraints": rows}, f"{len(rows)} constraint(s)")
@@ -267,14 +269,13 @@ def cmd_distance(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    wanted = set(args.only) if args.only else None
     known = {w for name, fn in acceptance.CRITERIA for w in (name, fn.__name__)}
     unknown = [w for w in args.only or () if w not in known]
     if unknown:
         raise ValueError(f"unknown criteria: {', '.join(unknown)}")
     results = []
     for name, fn in acceptance.CRITERIA:
-        if wanted and name not in wanted and fn.__name__ not in wanted:
+        if args.only and not {name, fn.__name__} & set(args.only):
             continue
         r = fn()
         results.append(r)
@@ -285,9 +286,7 @@ def cmd_experiment(args) -> int:
         "tolerances": {r.name: acceptance.TOLERANCES[r.name] for r in results},
     }
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} criteria passed")
-    if args.json:
-        Path(args.json).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _emit(args, doc, f"{passed}/{len(results)} criteria passed")
     return EXIT_OK if passed == len(results) else EXIT_REJECT
 
 

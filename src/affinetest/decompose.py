@@ -15,9 +15,9 @@ bias 1) aborts with a diagnostic.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -517,8 +517,12 @@ def select_subcell(
     )
 
 
-_SUMMARY = ("certificates", "certified", "factor_coarse", "factor_fine", "subcell", "tables")
-_TABLES = ("f1", "f2", "f3")
+# summary.json's fields with their types, written as record fields' annotations
+_SUMMARY = {"certificates": dict, "certified": bool, "factor_coarse": str, "factor_fine": str,
+            "subcell": tuple[int, ...] | None, "tables": dict}
+_TABLES = dict.fromkeys(("f1", "f2", "f3"), tuple[str, ...])
+_JSON_NAMES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
+               float: "number", type(None): "null"}
 
 
 def save_result(res: DecompositionResult, out_dir, params: FieldParams) -> None:
@@ -548,15 +552,44 @@ def save_result(res: DecompositionResult, out_dir, params: FieldParams) -> None:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _fields(doc, names: Sequence[str], what: str) -> dict:
-    """doc, which must be a JSON object with exactly the keys `names`."""
+def _is_json(value, hint) -> bool:
+    """Whether value, as json.loads gives it, is JSON of type `hint`: a tuple
+    is an array of its element type, a record an object, a float any number
+    (true and false are no number)."""
+    if get_origin(hint) is tuple:
+        return type(value) is list and all(_is_json(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):
+        return any(_is_json(value, h) for h in get_args(hint))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is (dict if is_dataclass(hint) else hint)
+
+
+def _json_name(hint) -> str:
+    """The JSON type `hint` in words, as `_is_json` reads it."""
+    if get_origin(hint) is tuple:
+        return f"array of {_json_name(get_args(hint)[0])}"
+    if get_args(hint):
+        return " or ".join(map(_json_name, get_args(hint)))
+    return "object" if is_dataclass(hint) else _JSON_NAMES[hint]
+
+
+def _fields(doc, types: dict, what: str) -> dict:
+    """doc, which must be a JSON object with exactly the keys of `types`,
+    each holding JSON of its type (see `_is_json`); a record's types are its
+    fields' annotations."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
-    missing, unexpected = set(names) - doc.keys(), doc.keys() - set(names)
+    missing, unexpected = types.keys() - doc.keys(), doc.keys() - types.keys()
     problems = [
         f"{kind} field(s) {', '.join(sorted(keys))}"
         for kind, keys in (("missing", missing), ("unexpected", unexpected))
         if keys
+    ]
+    problems = problems or [
+        f"field {name} must be {_json_name(hint)}, got {_JSON_NAMES[type(doc[name])]}"
+        for name, hint in types.items()
+        if not _is_json(doc[name], hint)
     ]
     if problems:
         raise ValueError(f"{what}: {'; '.join(problems)}")
@@ -565,18 +598,19 @@ def _fields(doc, names: Sequence[str], what: str) -> dict:
 
 def _record(cls, doc, what: str):
     """The dataclass cls built by keyword from a JSON object of its fields."""
-    return cls(**_fields(doc, [f.name for f in fields(cls)], what))
+    return cls(**_fields(doc, get_type_hints(cls), what))
 
 
 def load_result(out_dir) -> DecompositionResult:
     """Inverse of save_result (trace is not reloaded).  A missing or
-    unexpected field in summary.json raises a ValueError that names it."""
+    unexpected field in summary.json, or one of the wrong JSON type, raises
+    a ValueError that names it."""
     out = Path(out_dir)
     doc = _fields(json.loads((out / "summary.json").read_text()), _SUMMARY, "summary.json")
     coarse, _ = parse_factor(doc["factor_coarse"])
     fine, _ = parse_factor(doc["factor_fine"])
     tables = _fields(doc["tables"], _TABLES, "summary.json tables")
-    c = _fields(doc["certificates"], [f.name for f in fields(Certificates)], "certificates")
+    c = _fields(doc["certificates"], get_type_hints(Certificates), "certificates")
     certs = Certificates(**{
         **c,
         "gowers": tuple(_record(GowersResult, g, "gowers certificate") for g in c["gowers"]),

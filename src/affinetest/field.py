@@ -327,8 +327,9 @@ def _split_table(text: str, header: str) -> tuple[list[int], list[str]]:
 
 
 def parse_function_table(text: str) -> FunctionTable:
+    """FunctionTable reads the label tokens in one int64 pass, as int() does."""
     (p, n, r), vals = _split_table(text, "p n R")
-    return FunctionTable(FieldParams(p, n), r, [int(t) for t in vals])
+    return FunctionTable(FieldParams(p, n), r, vals)
 
 
 def save_function_table(f: FunctionTable, path) -> None:

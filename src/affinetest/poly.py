@@ -174,16 +174,18 @@ def _higher_values(terms, p: int) -> np.ndarray:
     along its axis, restricted to the exponents that occur there.  At p = 2
     that is the binary Moebius transform, one XOR of half the array per
     coordinate, done on the widest machine words the block size allows.  At
-    p >= 3 each coordinate is one small-integer einsum in a dtype that holds
-    p^3 (Python integers past uint64), so the sums of at most p products of
-    residues cannot overflow before the reduction.  The work is k passes
-    over p^k entries (times the number of exponents in use at p >= 3),
-    k <= top, however many terms there are.
+    p >= 3 each coordinate is one small-integer einsum, whose sums add one
+    product of two residues per exponent in use; the dtype holds the largest
+    such sum (Python integers past uint64), so none overflows before the
+    reduction.  The work is k passes over p^k entries (times the number of
+    exponents in use at p >= 3), k <= top, however many terms there are.
     """
     used = sorted({t for e, _ in terms for t, et in enumerate(e) if et})
     k = len(used)
+    exps = [sorted({e[t] for e, _ in terms}) for t in used]
+    bound = max(map(len, exps)) * (p - 1) ** 2
     dtype = next(
-        (d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if p**3 <= np.iinfo(d).max),
+        (d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(d).max),
         object,
     )
     v = np.zeros(p**k, dtype=dtype)
@@ -195,10 +197,9 @@ def _higher_values(terms, p: int) -> np.ndarray:
             half = v.view(f"u{2**w}").reshape(-1, 2, 2 ** (j - w))
             half[:, 1, :] ^= half[:, 0, :]
     else:
-        for j, t in enumerate(used):
-            exps = sorted({e[t] for e, _ in terms})
-            table = _power_table(p, exps).astype(dtype)
-            axis = v.reshape(-1, p, p**j)[:, exps, :]
+        for j, axis_exps in enumerate(exps):
+            table = _power_table(p, axis_exps).astype(dtype)
+            axis = v.reshape(-1, p, p**j)[:, axis_exps, :]
             v = _reduce(np.einsum("xe,aeb->axb", table, axis).ravel(), p)
     return v.reshape([p if t in used else 1 for t in reversed(range(used[-1] + 1))])
 

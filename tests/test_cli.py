@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinetest import fixtures
+from affinetest import cli, fixtures
 from affinetest.cli import main
 from affinetest.decompose import load_result
 from affinetest.factor import dump_factor, load_factor, parse_factor, save_factor
@@ -21,6 +21,8 @@ from affinetest.field import (
     save_function_table,
 )
 from affinetest.forms import (
+    ConstraintCollection,
+    cs_complexity,
     dimension_d,
     dump_collection,
     mixed_dimension,
@@ -59,6 +61,22 @@ def test_complexity_prints_one(blr_file, capsys):
     assert main(["complexity", "--constraints", str(blr_file)]) == 0
     out = capsys.readouterr().out
     assert "complexity=1" in out
+
+
+def test_complexity_computes_each_distinct_constraint_once(tmp_path, capsys, monkeypatch):
+    members = fixtures.derivative_collection(3).members + (
+        fixtures.ap_constraint(3, 3, (1, 2, 3)), fixtures.ap_constraint(3, 3, (2, 2, 1)),
+    )
+    path = tmp_path / "mixed.col"
+    path.write_text(dump_collection(ConstraintCollection(members), 3))
+    calls = []
+    monkeypatch.setattr(cli, "cs_complexity", lambda forms: calls.append(forms) or cs_complexity(forms))
+    assert main(["complexity", "--constraints", str(path), "--json", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == len({ic.constraint for ic in members}) == 2
+    rows = json.loads((tmp_path / "c.json").read_text())["constraints"]
+    assert [r["sigma"] for r in rows] == [list(ic.sigma) for ic in members]
+    assert [r["complexity"] for r in rows] == [cs_complexity(ic.constraint.forms) for ic in members]
+    assert capsys.readouterr().out.count("complexity=") == len(members)
 
 
 def test_test_accepts_free_function(blr_file, free_table, tmp_path):
@@ -459,8 +477,17 @@ def test_json_documents_are_pinned(pinned_inputs, capsys, name):
     (lambda doc: doc["certificates"]["gowers"][0].update(k=3), "unexpected field(s) k"),
     (lambda doc: doc["certificates"]["bias_fine"].pop("exhaustive"),
      "missing field(s) exhaustive"),
+    (lambda doc: doc["certificates"].update(gowers=5),
+     "certificates: field gowers must be array of object, got integer"),
+    (lambda doc: doc["tables"].update(f1=5),
+     "tables: field f1 must be array of string, got integer"),
+    (lambda doc: doc.update(subcell=5),
+     "field subcell must be array of integer or null, got integer"),
+    (lambda doc: doc.update(factor_coarse=5), "field factor_coarse must be string, got integer"),
+    (lambda doc: doc.update(certified="yes"), "field certified must be boolean, got string"),
 ], ids=["empty", "no-certified", "extra", "no-f2", "no-l2_f3", "gowers-extra",
-        "bias-no-exhaustive"])
+        "bias-no-exhaustive", "gowers-number", "f1-number", "subcell-number",
+        "factor-number", "certified-string"])
 def test_summary_fields_are_checked(pinned_inputs, capsys, edit, named):
     assert main(PINNED["decompose_super.json"][0]) == 0
     summary = pinned_inputs / "dec" / "summary.json"

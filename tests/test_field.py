@@ -181,6 +181,20 @@ def test_table_parsers_reject_malformed_files(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("token", ["x", "1.5", "0x1", "1e3", "--1"])
+def test_malformed_labels_are_rejected_with_the_message_of_int(token):
+    with pytest.raises(ValueError) as exc:
+        parse_function_table(f"2 1 2\n1 {token}")
+    assert str(exc.value) == f"invalid literal for int() with base 10: {token!r}"
+
+
+def test_labels_are_read_as_int_reads_them():
+    assert parse_function_table("2 2 1000\n01 1_000 +7 0002").values.tolist() == [1, 1000, 7, 2]
+    with pytest.raises(ValueError) as exc:
+        parse_function_table("2 1 2\n1 99999999999999999999")
+    assert str(exc.value) == "labels must lie in [1, R] and fit in int64"
+
+
 def trial_division_is_prime(m: int) -> bool:
     return m >= 2 and all(m % f for f in range(2, int(m**0.5) + 1))
 

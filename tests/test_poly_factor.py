@@ -27,7 +27,7 @@ from affinetest import (
 from affinetest.factor import PolynomialFactor, dump_factor, label_frequencies, parse_factor
 from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
-from affinetest.poly import monomials_up_to_degree
+from affinetest.poly import _higher_values, monomials_up_to_degree
 from affinetest import fixtures
 from reference import domain_coords
 
@@ -197,13 +197,15 @@ def test_values_of_random_polynomials_near_10_5_points(p, n, d):
     assert_values_match_reference(fixtures.random_polynomial(p, n, d, np.random.default_rng(d)))
 
 
-def test_values_past_the_uint64_transform_dtype():
-    # p^3 > 2^64: the transform falls back to Python integers
+def test_values_in_the_uint64_transform_dtype():
+    # p^3 > 2^64, but the transform's sums, one product of two residues per
+    # exponent in use (3 here), stay below 2^64: they run in uint64
     p = 2642246
     while not is_prime(p):
         p += 1
-    assert p**3 > 2**64
+    assert p**3 > 2**64 and 3 * (p - 1) ** 2 < 2**64
     poly = Polynomial.from_monomials(p, 1, {(2,): 5, (1,): 7, (0,): 3})
+    assert _higher_values([(e, c) for e, c in poly.terms if sum(e) > 1], p).dtype == np.uint64
     vals = poly.values()
     assert vals.dtype == np.int64 and vals.shape == (p,) and not vals.flags.writeable
     for x in [0, 1, 2, p - 1] + np.random.default_rng(0).integers(0, p, 20).tolist():
