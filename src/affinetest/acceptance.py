@@ -120,7 +120,8 @@ def counting_lemma(tol) -> tuple[bool, str]:
         worst = max(worst, gap)
         if gap > tol["slack"]:
             return False, f"violated at trial {trial}: lhs={lhs} rhs={rhs}"
-    return True, f"{tol['instances']} instances, worst lhs-rhs = {worst:.3e} <= 1e-9"
+    slack = np.format_float_scientific(tol["slack"], trim="-", exp_digits=1)
+    return True, f"{tol['instances']} instances, worst lhs-rhs = {worst:.3e} <= {slack}"
 
 
 @_criterion

@@ -26,6 +26,7 @@ from .field import (
     RealTable,
     canonical_index,
     fourier_means,
+    index_digits,
     index_to_vec,
     unit_roots,
 )
@@ -112,7 +113,8 @@ def cell_histogram(
         raise BudgetError("domain exceeds enumeration budget")
     p = params.p
     counts = np.bincount(cell_index_array(factor, params), minlength=p**factor.complexity)
-    return {cell_of_index(i, factor): int(c) for i, c in enumerate(counts)}
+    cells = index_digits(np.arange(counts.size), FieldParams(p, factor.complexity)).tolist()
+    return dict(zip(map(tuple, cells), counts.tolist()))
 
 
 def conditional_expectation(f: RealTable, factor: PolynomialFactor) -> RealTable:

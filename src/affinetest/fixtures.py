@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldParams, FunctionTable, RealTable, index_to_vec
+from .field import FieldParams, FunctionTable, RealTable, index_digits, index_to_vec
 from .forms import AffineConstraint, ConstraintCollection, InducedConstraint
 from .factor import PolynomialFactor
 from .poly import Polynomial, monomials_up_to_degree
@@ -138,9 +138,7 @@ def layered_table(
     rng = rng_for(seed, 0x2A)
     mat = gflinalg.random_invertible(rng, 3, 2)
     consts = rng.integers(0, 2, size=3)
-    coords = np.stack(
-        [Polynomial.coordinate(2, n, i).values() for i in range(1, n + 1)]
-    )
+    coords = index_digits(np.arange(params.size), params).T
     base3 = (mat @ coords[:3] + consts[:, None]) % 2
     mask = Polynomial.linear(2, n, [int(v) for v in rng.integers(0, 2, size=3)] + [0] * (n - 3),
                              int(rng.integers(0, 2))).values()

@@ -6,17 +6,18 @@ canonical representations.  Coefficients are stored in [1, p-1]; zero terms
 are dropped.
 
 Values on the whole domain come from one tensor transform, whatever the
-number of terms: the coefficients of the degree >= 2 terms are scattered to
-the canonical indices of their exponent vectors, and the p x p matrix
-V[x, e] = x^e mod p is applied along every coordinate they depend on (at
-p = 2, the binary Moebius transform).  That is top * p^top small-integer
-operations for the last coordinate `top` any of them touches (times the
-number of exponents in use per coordinate at p >= 3); the degree <= 1 part
-is a cheaper outer sum.
+degree and number of terms: the coefficients of all the terms, constant and
+linear ones included, are scattered to the canonical indices of their
+exponent vectors, and the p x p matrix V[x, e] = x^e mod p is applied along
+every coordinate they depend on (at p = 2, the binary Moebius transform).
+That is top * p^top small-integer operations for the last coordinate `top`
+any of them touches (times the number of exponents in use per coordinate at
+p >= 3).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,37 +123,14 @@ class Polynomial:
 
 @lru_cache(maxsize=4096)
 def _poly_values(poly: Polynomial) -> np.ndarray:
-    """Values on F_p^n in canonical order, as a read-only int64 array.
-
-    The degree <= 1 part is an outer sum, coordinate t + 1 at place value
-    p^t, up to the last coordinate it depends on.  The degree >= 2 terms,
-    however many, go through one tensor transform (`_higher_values`): the
-    matrix V[x, e] = x^e mod p along each coordinate they touch, at most
-    top * p^top small-integer operations for the last one `top`.  The two
-    parts are summed and reduced at the larger of their two sizes, then
-    repeated over the coordinates neither depends on.
-    """
-    p = poly.p
-    linear = poly.linear_part()
-    top = max((t + 1 for t, c in enumerate(linear) if c), default=0)
-    acc = np.array([poly.constant_part()], dtype=np.int64)
-    digits = np.arange(p, dtype=np.int64)[:, None]
-    for c in linear[:top]:
-        acc = (acc + c * digits).ravel()
-    _reduce(acc, p)
-    higher = [(e, c) for e, c in poly.terms if sum(e) > 1]
-    if higher:
-        part = _higher_values(higher, p)
-        both = np.empty(max(acc.size, p**part.ndim), dtype=part.dtype)
-        both.reshape(-1, acc.size)[...] = acc
-        both.reshape((-1,) + (p,) * part.ndim)[...] += part
-        acc = _reduce(both, p)
-    if acc.dtype != np.int64 or acc.size < p**poly.n:
-        out = np.empty(p**poly.n, dtype=np.int64)
-        out.reshape(-1, acc.size)[...] = acc
-        acc = out
-    acc.setflags(write=False)
-    return acc
+    """Values on F_p^n in canonical order, as a read-only int64 array: the
+    one tensor transform of all the terms (`_transform_values`), broadcast
+    over the coordinates no term depends on."""
+    part = _transform_values(poly.terms, poly.p)
+    out = np.empty(poly.p**poly.n, dtype=np.int64)
+    out.reshape((-1,) + (poly.p,) * part.ndim)[...] = part
+    out.setflags(write=False)
+    return out
 
 
 def _reduce(v: np.ndarray, p: int) -> np.ndarray:
@@ -162,11 +140,11 @@ def _reduce(v: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
-def _higher_values(terms, p: int) -> np.ndarray:
-    """Sum of the given terms, reduced mod p, over the coordinates up to the
-    last one they depend on: an array of `top` axes, coordinate top first
-    (the C-order view of canonical order), of length 1 on the coordinates
-    no term depends on and p on the k others.
+def _transform_values(terms, p: int) -> np.ndarray:
+    """Sum of the given terms, reduced mod p: an array with one axis per
+    coordinate of their exponent vectors, the last coordinate first (the
+    C-order view of canonical order), of length 1 on the coordinates no term
+    depends on and p on the k others (no axes when there are no terms).
 
     The coefficients are scattered to the canonical indices of their
     exponent vectors restricted to those k coordinates, and each of them is
@@ -178,30 +156,34 @@ def _higher_values(terms, p: int) -> np.ndarray:
     product of two residues per exponent in use; the dtype holds the largest
     such sum (Python integers past uint64), so none overflows before the
     reduction.  The work is k passes over p^k entries (times the number of
-    exponents in use at p >= 3), k <= top, however many terms there are.
+    exponents in use at p >= 3), k <= n, however many terms there are.
     """
-    used = sorted({t for e, _ in terms for t, et in enumerate(e) if et})
+    cols = list(zip(*(e for e, _ in terms)))  # each coordinate's exponents, term by term
+    used = [t for t, col in enumerate(cols) if any(col)]
     k = len(used)
-    exps = [sorted({e[t] for e, _ in terms}) for t in used]
-    bound = max(map(len, exps)) * (p - 1) ** 2
+    exps = [tuple(sorted(set(cols[t]))) for t in used]
+    bound = max(map(len, exps), default=1) * (p - 1) ** 2
     dtype = next(
         (d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(d).max),
         object,
     )
+    place = [0] * len(cols)
+    for j, t in enumerate(used):
+        place[t] = p**j
     v = np.zeros(p**k, dtype=dtype)
     for e, c in terms:
-        v[sum(e[t] * p**j for j, t in enumerate(used))] = c
+        v[sum(map(operator.mul, e, place))] = c
     if p == 2:
         for j in range(k):
             w = min(j, 3)
             half = v.view(f"u{2**w}").reshape(-1, 2, 2 ** (j - w))
             half[:, 1, :] ^= half[:, 0, :]
     else:
+        tables = {e: _power_table(p, e).astype(dtype) for e in set(exps)}
         for j, axis_exps in enumerate(exps):
-            table = _power_table(p, axis_exps).astype(dtype)
             axis = v.reshape(-1, p, p**j)[:, axis_exps, :]
-            v = _reduce(np.einsum("xe,aeb->axb", table, axis).ravel(), p)
-    return v.reshape([p if t in used else 1 for t in reversed(range(used[-1] + 1))])
+            v = _reduce(np.einsum("xe,aeb->axb", tables[axis_exps], axis).ravel(), p)
+    return v.reshape([p if x else 1 for x in reversed(place)])
 
 
 def _power_table(p: int, exps) -> np.ndarray:

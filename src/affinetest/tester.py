@@ -42,7 +42,7 @@ from .field import (
     index_digits,
     unit_roots,
 )
-from .factor import PolynomialFactor, cell_index_array, cell_of_index
+from .factor import PolynomialFactor, cell_index_array
 from .forms import (
     AffineConstraint,
     ConstraintCollection,
@@ -555,11 +555,11 @@ def big_picture(f: FunctionTable, factor: PolynomialFactor) -> BigPicture:
     params = f.params
     idx = cell_index_array(factor, params)
     r = f.range_size
-    pairs = np.unique(idx * (r + 1) + f.values)
+    cell_flats, labels = np.divmod(np.unique(idx * (r + 1) + f.values), r + 1)
+    digits = index_digits(cell_flats, FieldParams(params.p, factor.complexity)).tolist()
     cells: dict[tuple[int, ...], set[int]] = {}
-    for pair in pairs:
-        cell_flat, label = divmod(int(pair), r + 1)
-        cells.setdefault(cell_of_index(cell_flat, factor), set()).add(label)
+    for cell, label in zip(map(tuple, digits), labels.tolist()):
+        cells.setdefault(cell, set()).add(label)
     return BigPicture(factor, {c: frozenset(s) for c, s in cells.items()})
 
 

@@ -54,3 +54,10 @@ def test_criteria_run_with_their_tolerances(monkeypatch):
     result = acceptance.counting_lemma()
     assert result.name == "counting_lemma" and result.passed
     assert result.detail.startswith("3 instances, ")
+
+
+def test_counting_lemma_detail_reads_its_slack(monkeypatch):
+    monkeypatch.setitem(acceptance.TOLERANCES["counting_lemma"], "instances", 5)
+    monkeypatch.setitem(acceptance.TOLERANCES["counting_lemma"], "slack", 1e-3)
+    result = acceptance.counting_lemma()
+    assert result.passed and result.detail.endswith("<= 1e-3"), result.detail

@@ -24,10 +24,17 @@ from affinetest import (
     polynomial_bias,
     represents,
 )
-from affinetest.factor import PolynomialFactor, dump_factor, label_frequencies, parse_factor
+from affinetest.factor import (
+    PolynomialFactor,
+    cell_index_array,
+    cell_of_index,
+    dump_factor,
+    label_frequencies,
+    parse_factor,
+)
 from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
-from affinetest.poly import _higher_values, monomials_up_to_degree
+from affinetest.poly import _transform_values, monomials_up_to_degree
 from affinetest import fixtures
 from reference import domain_coords
 
@@ -205,11 +212,27 @@ def test_values_in_the_uint64_transform_dtype():
         p += 1
     assert p**3 > 2**64 and 3 * (p - 1) ** 2 < 2**64
     poly = Polynomial.from_monomials(p, 1, {(2,): 5, (1,): 7, (0,): 3})
-    assert _higher_values([(e, c) for e, c in poly.terms if sum(e) > 1], p).dtype == np.uint64
+    assert _transform_values(poly.terms, p).dtype == np.uint64
     vals = poly.values()
     assert vals.dtype == np.int64 and vals.shape == (p,) and not vals.flags.writeable
     for x in [0, 1, 2, p - 1] + np.random.default_rng(0).integers(0, p, 20).tolist():
         assert vals[x] == poly.eval_point((x,))
+
+
+@pytest.mark.parametrize("p,n,dtype", [
+    (11, 2, np.uint8), (13, 2, np.uint16),
+    (181, 2, np.uint16), (191, 2, np.uint32),
+    (46337, 1, np.uint32), (46349, 1, np.uint64),
+])
+def test_linear_and_constant_terms_on_both_sides_of_each_transform_dtype(p, n, dtype):
+    # exponents 0 and 1 in use on every coordinate: sums up to 2(p - 1)^2,
+    # just within the dtype for the first prime of each pair, just past it
+    # for the second
+    rng = np.random.default_rng(p)
+    poly = Polynomial.linear(p, n, rng.integers(1, p, n).tolist(), int(rng.integers(1, p)))
+    assert _transform_values(poly.terms, p).dtype == dtype
+    assert_values_match_reference(poly)
+    assert_values_match_reference(Polynomial.from_monomials(p, n, {(0,) * n: p - 1}))
 
 
 @st.composite
@@ -244,6 +267,20 @@ def test_cell_histogram_rank_nullity():
         hist = cell_histogram(factor)
         assert all(c == 3 ** (4 - 2) for c in hist.values())
         assert sum(hist.values()) == 3**4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_cell_histogram_matches_per_cell_decoding(p, c):
+    # keys, their order and counts as decoded one cell at a time (c = 0 is
+    # the empty factor, whose one cell is ())
+    params = FieldParams(p, 3)
+    factor = fixtures.random_factor(p, 3, c, 2, seed=10 * p + c)
+    counts = np.bincount(cell_index_array(factor, params), minlength=p**c)
+    want = {cell_of_index(i, factor): int(k) for i, k in enumerate(counts)}
+    got = cell_histogram(factor, params)
+    assert list(got.items()) == list(want.items())
+    assert {type(x) for cell, k in got.items() for x in (*cell, k)} <= {int}
 
 
 def test_conditional_expectation_examples():

@@ -30,7 +30,7 @@ from affinetest import (
 )
 from affinetest import forms, gflinalg, gowers, tester
 from affinetest.decompose import SelectionError
-from affinetest.factor import PolynomialFactor, eval_factor, pattern_count
+from affinetest.factor import PolynomialFactor, cell_index_array, eval_factor, pattern_count
 from affinetest.field import BudgetError, RealTable, canonical_indices, index_digits, index_to_vec
 from affinetest.forms import CellImage, eval_form, make_concise_collection
 from affinetest.tester import violation_count
@@ -708,6 +708,20 @@ def test_big_picture_recount():
     x1 = Polynomial.coordinate(2, 3, 1).values()
     for cell in (0, 1):
         assert bp.cells[(cell,)] == frozenset(np.unique(f.values[x1 == cell]).tolist())
+
+
+@pytest.mark.parametrize("p,c", [(2, 0), (2, 3), (3, 1), (5, 3)])
+def test_big_picture_matches_per_pair_decoding(p, c):
+    # cells in the order of their first (cell, label) pair, as decoded one pair at a time
+    f = fixtures.random_function(p, 3, 3, seed=p + c)
+    factor = fixtures.random_factor(p, 3, c, 1, seed=c)
+    want: dict = {}
+    for pair in np.unique(cell_index_array(factor, f.params) * 4 + f.values):
+        cell_flat, label = divmod(int(pair), 4)
+        want.setdefault(index_to_vec(cell_flat, FieldParams(p, c)), set()).add(label)
+    cells = big_picture(f, factor).cells
+    assert list(cells) == list(want)
+    assert cells == {cell: frozenset(labels) for cell, labels in want.items()}
 
 
 def test_partial_induction_examples():
