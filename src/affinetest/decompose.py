@@ -370,8 +370,9 @@ def super_decompose(f: FunctionTable, cfg: DecompositionConfig) -> Decomposition
     """Two-factor decomposition: coarse B, syntactic refinement B' that
     zeta-represents B, and f = f1 + f2 + f3 relative to B'.
 
-    The loop re-robustifies B whenever representation fails (each failure
-    carries a realized density-index gain, so the loop is budget-bounded).
+    The loop re-robustifies B whenever representation fails and another
+    iteration follows (each failure carries a realized density-index gain,
+    so the loop is budget-bounded); B' always refines the B returned.
     The internal Gowers refinement certifies B' against itself, so the
     remainder f3 vanishes and its delta(|B|) certificate is exact.
     """
@@ -390,17 +391,18 @@ def super_decompose(f: FunctionTable, cfg: DecompositionConfig) -> Decomposition
     gnorms: list[GowersResult] = []
     gcert = False
     rep = False
-    for _ in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations):
+        if it:  # the previous iteration failed to represent B
+            coarse = robust_refine(
+                fs, fine, lambda c: delta_fn(c) ** 2, d, cfg.search_budget,
+                cfg.max_factor_size, trace,
+            )
         fine, gnorms, gcert = _gowers_certified(fs, coarse, eta_fn, d, cfg, trace)
         rep = represents(f, fine, coarse, cfg.zeta)
         if rep:
             break
         gain = density_index(fs, fine) - density_index(fs, coarse)
         trace.append({"event": "represents_failed", "gain": gain, "fine": fine.complexity})
-        coarse = robust_refine(
-            fs, fine, lambda c: delta_fn(c) ** 2, d, cfg.search_budget,
-            cfg.max_factor_size, trace,
-        )
     f1 = tuple(conditional_expectation(s, fine) for s in fs)
     f2 = _tables_sub(list(fs), list(f1))
     zeros = tuple(RealTable(params, np.zeros(params.size)) for _ in fs)

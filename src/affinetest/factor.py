@@ -27,7 +27,6 @@ from .field import (
     canonical_index,
     fourier_means,
     index_digits,
-    index_to_vec,
     unit_roots,
 )
 from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
@@ -62,8 +61,15 @@ class PolynomialFactor:
         return max((q.degree for q in self.polys), default=0)
 
     def params(self, default: FieldParams | None = None) -> FieldParams:
+        """The factor's domain; `default` is the domain of an empty factor,
+        and a nonempty factor over another domain raises ValueError."""
         if self.polys:
-            return self.polys[0].params
+            own = self.polys[0].params
+            if default is not None and default != own:
+                raise ValueError(
+                    f"factor over F_{own.p}^{own.n} does not apply to F_{default.p}^{default.n}"
+                )
+            return own
         if default is None:
             raise ValueError("empty factor carries no domain; pass params explicitly")
         return default
@@ -95,11 +101,6 @@ def cell_index_array(factor: PolynomialFactor, params: FieldParams | None = None
 def eval_factor(factor: PolynomialFactor, x) -> tuple[int, ...]:
     """Componentwise evaluation: the cell image of x."""
     return tuple(q.eval_point(x) for q in factor.polys)
-
-
-def cell_of_index(flat: int, factor: PolynomialFactor) -> tuple[int, ...]:
-    p = factor.polys[0].p if factor.polys else 2
-    return index_to_vec(flat, FieldParams(p, factor.complexity))
 
 
 def cell_histogram(

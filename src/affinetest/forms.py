@@ -5,8 +5,9 @@ a_1, ..., a_m on variables X_1, ..., X_l with a_1 = X_1 and every a_i
 carrying coefficient 1 on X_1.  An induced constraint pairs the forms with a
 forbidden label pattern sigma in [R]^m.  This module also provides the
 Cauchy-Schwarz complexity of a form system, tensor powers and the
-(d_1, ..., d_C)-dimension, changes of view, conciseness normalization, and
-the consistency predicate for tuples of cell images.
+(d_1, ..., d_C)-dimension, changes of view, the reduction of a constraint to
+at most m variables by one row reduction of its forms' X_2, ..., X_l
+coefficients, and the consistency predicate for tuples of cell images.
 """
 from __future__ import annotations
 
@@ -120,14 +121,9 @@ class ConstraintCollection:
     """A finite collection of induced constraints (truncation of a family)."""
 
     members: tuple[InducedConstraint, ...]
-    concise: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        if self.concise:
-            for ic in self.members:
-                if ic.constraint.ell > ic.constraint.size:
-                    raise ValueError("concise collection contains an l > m member")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -283,49 +279,30 @@ def change_of_view(forms, M) -> list[LinearForm]:
 def make_concise(ic: InducedConstraint) -> InducedConstraint:
     """Equivalent constraint on at most m variables, in normal form.
 
-    If l <= m the input is returned unchanged.  Otherwise a basis whose first
-    l-m vectors annihilate every form is used as a change of view; the columns
-    for the eliminated variables are asserted zero, and the distinguished
-    variable is relabeled back to X_1.  Freeness is preserved for every f.
+    If l <= m the input is returned unchanged.  Otherwise each form is
+    X_1 + t_j . (X_2, ..., X_l); the tails t_j have rank at most m - 1
+    (t_1 = 0), so the reduced echelon form of the tail matrix has at least
+    l - m non-pivot columns, and the first l - m of them are dropped: the
+    result is [1, t_j[kept]] per form, with the same sigma.  Every non-pivot
+    column is a combination of the pivot columns before it, all of which
+    are kept, so a dropped variable's contribution can be moved onto kept
+    ones: the forms take the same tuples of values, and an f is free of the
+    result exactly when it is free of the input.
     """
     a = ic.constraint
-    p, ell, m = a.p, a.ell, a.size
+    ell, m = a.ell, a.size
     if ell <= m:
         return ic
-    coeff_mat = np.array([f.coeffs for f in a.forms], dtype=np.int64)
-    kernel = gflinalg.kernel_basis(coeff_mat, p)
-    if kernel.shape[0] < ell - m:
-        raise AssertionError("kernel smaller than l - m; basis completion bug")
-    basis = [kernel[i] for i in range(ell - m)]
-    # complete inside the hyperplane v_1 = 0, then append e_1 last so the
-    # distinguished variable survives the relabeling
-    for j in range(1, ell):
-        if len(basis) == ell - 1:
-            break
-        cand = np.zeros(ell, dtype=np.int64)
-        cand[j] = 1
-        if not gflinalg.in_rowspan(np.vstack(basis), cand, p):
-            basis.append(cand)
-    e1 = np.zeros(ell, dtype=np.int64)
-    e1[0] = 1
-    basis.append(e1)
-    M = np.stack(basis, axis=1)  # columns are the basis vectors
-    if not gflinalg.is_invertible(M, p):
-        raise AssertionError("constructed view matrix is singular")
-    new_forms = change_of_view(a.forms, M)
-    rows = []
-    for f in new_forms:
-        c = f.coeffs
-        if any(c[: ell - m]):
-            raise AssertionError("eliminated variable has nonzero coefficient")
-        if c[ell - 1] != 1:
-            raise AssertionError("distinguished variable lost unit coefficient")
-        rows.append((c[ell - 1],) + tuple(c[ell - m : ell - 1]))
-    return InducedConstraint(AffineConstraint.from_rows(p, rows), ic.sigma)
+    tails = np.array([f.coeffs[1:] for f in a.forms], dtype=np.int64)
+    _, pivots = gflinalg.rref(tails, a.p)
+    dropped = [c for c in range(ell - 1) if c not in pivots][: ell - m]
+    kept = [c for c in range(ell - 1) if c not in dropped]
+    rows = [(1,) + tuple(f.coeffs[1 + c] for c in kept) for f in a.forms]
+    return InducedConstraint(AffineConstraint.from_rows(a.p, rows), ic.sigma)
 
 
 def make_concise_collection(col: ConstraintCollection) -> ConstraintCollection:
-    return ConstraintCollection(tuple(make_concise(ic) for ic in col.members), concise=True)
+    return ConstraintCollection(tuple(make_concise(ic) for ic in col.members))
 
 
 # --- consistency ------------------------------------------------------------
@@ -405,10 +382,6 @@ def _parse_block(text: str, constraints: dict) -> tuple[InducedConstraint, int]:
             raise ValueError(f"every form line needs l = {ell} coefficients")
         a = constraints[key] = AffineConstraint.from_rows(p, rows)
     return InducedConstraint(a, tuple(int(t) for t in lines[m + 1].split())), r
-
-
-def parse_induced_constraint(text: str) -> tuple[InducedConstraint, int]:
-    return _parse_block(text, {})
 
 
 def dump_collection(col: ConstraintCollection, range_size: int) -> str:

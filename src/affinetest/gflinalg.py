@@ -66,20 +66,6 @@ def in_rowspan(mat, vec, p: int) -> bool:
     return rref(stacked, p)[0].shape[0] == base.shape[0]
 
 
-def kernel_basis(mat, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : mat @ x = 0 mod p}."""
-    m = as_matrix(mat, p)
-    rows, cols = m.shape
-    ech, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-ech[r, fc]) % p
-    return basis
-
-
 def is_invertible(mat, p: int) -> bool:
     m = as_matrix(mat, p)
     return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]

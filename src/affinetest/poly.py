@@ -92,12 +92,6 @@ class Polynomial:
                 out[e.index(1)] = c
         return tuple(out)
 
-    def constant_part(self) -> int:
-        for e, c in self.terms:
-            if sum(e) == 0:
-                return c
-        return 0
-
     def eval_point(self, x) -> int:
         total = 0
         for e, c in self.terms:

