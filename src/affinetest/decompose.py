@@ -15,6 +15,7 @@ bias 1) aborts with a diagnostic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
@@ -27,7 +28,7 @@ from .field import (
     FieldParams,
     FunctionTable,
     RealTable,
-    canonical_index,
+    digit_index,
     load_real_table,
     save_real_table,
 )
@@ -64,12 +65,16 @@ def default_delta(c: int) -> float:
     return 0.1 / 2.0**c
 
 
-def as_schedule(value, fallback: Schedule) -> Schedule:
+def as_schedule(value, fallback: Schedule, name: str = "schedule") -> Schedule:
+    """value as a schedule: fallback for None, a callable as it is, and a
+    constant, which must be finite and >= 0, as a constant schedule."""
     if value is None:
         return fallback
     if callable(value):
         return value
     x = float(value)
+    if not 0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
     return lambda _c: x
 
 
@@ -102,12 +107,14 @@ class DecompositionConfig:
             raise ValueError("zeta must lie in (0, 1]")
         if min(self.max_factor_size, self.max_iterations, self.search_budget) < 1:
             raise ValueError("budgets must be positive")
+        self.delta_fn()  # a constant delta or eta that is not finite and >= 0 raises
+        self.eta_fn()
 
     def delta_fn(self) -> Schedule:
-        return as_schedule(self.delta, default_delta)
+        return as_schedule(self.delta, default_delta, "delta")
 
     def eta_fn(self) -> Schedule:
-        return as_schedule(self.eta, default_eta)
+        return as_schedule(self.eta, default_eta, "eta")
 
 
 @dataclass(frozen=True)
@@ -437,13 +444,13 @@ def _subcell_frequencies(
     """Per point its coarse cell index (the fine cell index's first cc
     digits) and whether it lies in subcell s; per coarse cell the point
     counts of the cell and of its subcell s, and each label's frequency
-    [label - 1, cell] in both (0 where empty)."""
+    [label - 1, cell] in both (0 where empty).  s must be a point of
+    F_p^(C' - cc), C' the fine factor's complexity."""
     p, r, ncells = f.params.p, f.range_size, f.params.p**cc
-    if not all(0 <= v < p for v in s):
-        raise ValueError(f"subcell digits must lie in [0, {p}), got {' '.join(map(str, s))}")
+    sub = digit_index(s, FieldParams(p, fine.complexity - cc), "subcell")
     fine_idx = cell_index_array(fine, f.params)
     coarse_idx = fine_idx % ncells
-    in_sub = fine_idx // ncells == canonical_index(s, FieldParams(p, len(s)))
+    in_sub = fine_idx // ncells == sub
     cell_counts, cell_freq = label_frequencies(coarse_idx, f.values, r, ncells)
     sub_counts, sub_freq = label_frequencies(coarse_idx[in_sub], f.values[in_sub], r, ncells)
     cell_frac = np.divide(cell_freq, cell_counts, out=np.zeros((r, ncells)), where=cell_counts > 0)
@@ -469,7 +476,7 @@ def subcell_conditions(
         f, result.factor_fine, result.factor_coarse.complexity, s
     )
     ncells = len(cell_counts)
-    delta_fn = as_schedule(delta, default_delta)
+    delta_fn = as_schedule(delta, default_delta, "delta")
     dbound = delta_fn(result.factor_coarse.complexity) ** 2
     occupied = cell_counts > 0
     orphaned = occupied & (sub_counts == 0)
@@ -647,11 +654,8 @@ def cleanup(
     """
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
-    cc = coarse.complexity
-    if len(s) != fine.complexity - cc:
-        raise ValueError("subcell id length mismatch")
     coarse_idx, _, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
-        f, fine, cc, s
+        f, fine, coarse.complexity, s
     )
     occupied = cell_counts > 0
     if np.any(occupied & (sub_counts == 0)):

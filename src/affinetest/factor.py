@@ -8,6 +8,10 @@ operational substitute everywhere is the bias certificate, the maximum
 exponential bias over nonzero combinations of the defining polynomials.
 Exact rank statements are made only for degree-1 factors, where full rank is
 affine independence of the polynomials.
+
+The cells of B = (P_1, ..., P_C) are the canonical indices of F_p^C
+(`cell_space`), so a factor has at most 2^62 cells; `cell_histogram`, which
+enumerates domain and cells, is charged max(p^n, p^C) against its budget.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from .field import (
     FieldParams,
     FunctionTable,
     RealTable,
-    canonical_index,
     fourier_means,
     index_digits,
     unit_roots,
@@ -84,9 +87,16 @@ class PolynomialFactor:
         return self.polys[: other.complexity] == other.polys
 
 
+def cell_space(factor: PolynomialFactor, params: FieldParams | None = None) -> FieldParams:
+    """F_p^C, whose canonical indices number the factor's cells; past 2^62
+    cells it raises ValueError, as the index type holds no more."""
+    return FieldParams(factor.params(params).p, factor.complexity)
+
+
 @lru_cache(maxsize=1024)
 def _cell_index_array(factor: PolynomialFactor, params: FieldParams) -> np.ndarray:
     """Flat little-endian cell index of every domain point."""
+    cell_space(factor, params)  # the indices must fit the index type
     idx = np.zeros(params.size, dtype=np.int64)
     for i, q in enumerate(factor.polys):
         idx += q.values() * q.p**i
@@ -108,13 +118,14 @@ def cell_histogram(
     params: FieldParams | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict[tuple[int, ...], int]:
-    """Exact point counts per cell image, by full enumeration."""
+    """Exact point counts per cell image, by full enumeration of the domain
+    and of the cell space, charged max(p^n, p^C) against the budget."""
     params = factor.params(params)
-    if params.size > budget:
-        raise BudgetError("domain exceeds enumeration budget")
-    p = params.p
-    counts = np.bincount(cell_index_array(factor, params), minlength=p**factor.complexity)
-    cells = index_digits(np.arange(counts.size), FieldParams(p, factor.complexity)).tolist()
+    space = cell_space(factor, params)
+    if max(params.size, space.size) > budget:
+        raise BudgetError("domain or cell space exceeds enumeration budget")
+    counts = np.bincount(cell_index_array(factor, params), minlength=space.size)
+    cells = index_digits(np.arange(space.size), space).tolist()
     return dict(zip(map(tuple, cells), counts.tolist()))
 
 
@@ -126,7 +137,7 @@ def conditional_expectation(f: RealTable, factor: PolynomialFactor) -> RealTable
     """
     params = f.params
     idx = cell_index_array(factor, params)
-    ncells = factor.polys[0].p ** factor.complexity if factor.polys else 1
+    ncells = cell_space(factor, params).size
     counts = np.bincount(idx, minlength=ncells)
     sums = np.bincount(idx, weights=f.values, minlength=ncells)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
@@ -202,26 +213,23 @@ def bias_certificate(
     weighted by their point counts.
     """
     params = factor.params(params)
-    p = params.p
-    c = factor.complexity
+    space = cell_space(factor, params)
+    p, c = space.p, space.n
     if c == 0:
         return BiasCertificate(0.0, 0, True)
-    total = p**c - 1
+    total = space.size - 1
     if total <= budget:
-        counts = np.bincount(cell_index_array(factor, params), minlength=p**c)
-        means = fourier_means(counts, FieldParams(p, c))
-        return BiasCertificate(float(np.abs(means[1:]).max()) * (p**c / params.size), total, True)
+        counts = np.bincount(cell_index_array(factor, params), minlength=space.size)
+        means = fourier_means(counts, space)
+        max_bias = float(np.abs(means[1:]).max()) * (space.size / params.size)
+        return BiasCertificate(max_bias, total, True)
     # nonempty cells only: p^C, past the exhaustive budget, can outgrow the domain
     cells, weights = np.unique(cell_index_array(factor, params), return_counts=True)
     # float64 so that the products below run in BLAS; every sum is an exact integer
     digits = (cells // p ** np.arange(c, dtype=np.int64)[:, None] % p).astype(np.float64)
     rng = np.random.default_rng(seed)
-    lam_ids = rng.integers(1, p**c, size=budget, dtype=np.int64)
-    lams = np.empty((len(lam_ids), c), dtype=np.float64)
-    rem = lam_ids.copy()
-    for i in range(c):
-        lams[:, i] = rem % p
-        rem //= p
+    lam_ids = rng.integers(1, space.size, size=budget, dtype=np.int64)
+    lams = index_digits(lam_ids, space).astype(np.float64)
     max_bias = 0.0
     roots = unit_roots(p)
     weights = weights.astype(np.float64)
@@ -239,24 +247,15 @@ def is_semantic_refinement(
     params: FieldParams | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> bool:
-    """Exhaustive check that fine-cell equality implies coarse-cell equality."""
-    if fine.polys:
-        params = fine.params()
-    elif coarse.polys:
-        params = coarse.params()
-    elif params is None:
-        raise ValueError("two empty factors need explicit params")
+    """Exhaustive check that fine-cell equality implies coarse-cell equality:
+    no fine cell meets two coarse cells."""
+    params = (fine if fine.polys else coarse).params(params)
     if params.size > budget:
         raise BudgetError("domain exceeds enumeration budget")
-    fi = cell_index_array(fine, params)
-    ci = cell_index_array(coarse, params)
-    order = np.argsort(fi, kind="stable")
-    fs, cs = fi[order], ci[order]
-    starts = np.ones(len(fs), dtype=bool)
-    starts[1:] = fs[1:] != fs[:-1]
-    # coarse index must be constant within each fine-cell run
-    rep = cs[starts][np.cumsum(starts) - 1]
-    return bool(np.all(rep == cs))
+    fine_idx, coarse_idx = cell_index_array(fine, params), cell_index_array(coarse, params)
+    _, first, fine_cell = np.unique(fine_idx, return_index=True, return_inverse=True)
+    # every point lies in the coarse cell of the first point of its fine cell
+    return bool(np.array_equal(coarse_idx[first][fine_cell], coarse_idx))
 
 
 def common_refinement(b: PolynomialFactor, b2: PolynomialFactor) -> PolynomialFactor:
@@ -293,10 +292,10 @@ def represents(
     """
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
-    p, r = f.params.p, f.range_size
-    n_coarse = p**coarse.complexity
+    r = f.range_size
+    n_coarse = cell_space(coarse, f.params).size
     counts_f, freq_f = label_frequencies(
-        cell_index_array(fine, f.params), f.values, r, p**fine.complexity
+        cell_index_array(fine, f.params), f.values, r, cell_space(fine, f.params).size
     )
     # [label, subcell id s, coarse cell]: a fine cell index is s * n_coarse + coarse cell
     cnt = counts_f.reshape(-1, n_coarse)
@@ -325,13 +324,11 @@ def pattern_count(
 ) -> tuple[int, int]:
     """Exact (#tuples with B(a_j(x)) = b_j for all j, #tuples) by enumeration."""
     params = factor.params(params)
-    p, ell = params.p, constraint.ell
-    total = params.size**ell
+    targets = images.indices(constraint.size, cell_space(factor, params))
+    total = params.size**constraint.ell
     if total > budget:
         raise BudgetError("tuple grid exceeds enumeration budget")
-    cells = cell_index_array(factor, params)
-    targets = [canonical_index(b, FieldParams(p, len(b))) for b in images.cells]
-    return scan_grid(cells, constraint, params, targets), total
+    return scan_grid(cell_index_array(factor, params), constraint, params, targets), total
 
 
 def pattern_probability(
@@ -358,8 +355,6 @@ def pattern_probability(
     degrees = factor.degree_list()
     if any(d < 1 for d in degrees):
         raise ValueError("predicted mode needs all polynomial degrees >= 1")
-    if images.width != factor.complexity:
-        raise ValueError("image width must equal factor complexity")
     if not consistency_check(constraint, degrees, images):
         return 0.0
     s = mixed_dimension(constraint.forms, degrees)

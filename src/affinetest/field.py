@@ -89,6 +89,16 @@ def canonical_index(x, params: FieldParams) -> int:
     return idx
 
 
+def digit_index(x, params: FieldParams, what: str) -> int:
+    """canonical_index of a point given by its digits, which must be n
+    digits in [0, p); otherwise a ValueError names the point as `what`."""
+    if len(x) != params.n:
+        raise ValueError(f"{what} needs {params.n} digit(s), got {len(x)}")
+    if not all(0 <= v < params.p for v in x):
+        raise ValueError(f"{what} digits must lie in [0, {params.p}), got {' '.join(map(str, x))}")
+    return canonical_index(x, params)
+
+
 def index_to_vec(idx: int, params: FieldParams) -> tuple[int, ...]:
     """Inverse of canonical_index."""
     if not 0 <= idx < params.size:

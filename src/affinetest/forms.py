@@ -23,6 +23,7 @@ from .field import (
     BudgetError,
     FieldParams,
     canonical_indices,
+    digit_index,
     index_digits,
     is_prime,
 )
@@ -145,9 +146,12 @@ class CellImage:
         if len(widths) > 1:
             raise ValueError("all cell images must share the same width C")
 
-    @property
-    def width(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
+    def indices(self, m: int, space: FieldParams) -> list[int]:
+        """Canonical indices in `space` = F_p^C of the images, which must be
+        m points of C digits in [0, p); ValueError otherwise."""
+        if len(self.cells) != m:
+            raise ValueError(f"need {m} cell images, one per form, got {len(self.cells)}")
+        return [digit_index(b, space, "cell image") for b in self.cells]
 
     def row(self, i: int) -> tuple[int, ...]:
         """The row (b_{i,1}, ..., b_{i,m}) across all forms."""
@@ -334,9 +338,8 @@ def consistency_check(
     The per-row split of the joint condition is valid because the lambda rows
     are unconstrained across i.
     """
-    if images.width != len(degrees):
-        raise ValueError("image width must match the degree list")
     p = constraint.p
+    images.indices(constraint.size, FieldParams(p, len(degrees)))
     for i, d in enumerate(degrees):
         basis = tensor_row_space(constraint, d)
         if not gflinalg.in_rowspan(basis, np.array(images.row(i), dtype=np.int64), p):

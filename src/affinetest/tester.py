@@ -42,7 +42,7 @@ from .field import (
     index_digits,
     unit_roots,
 )
-from .factor import PolynomialFactor, cell_index_array
+from .factor import PolynomialFactor, cell_index_array, cell_space
 from .forms import (
     AffineConstraint,
     ConstraintCollection,
@@ -555,7 +555,7 @@ def big_picture(f: FunctionTable, factor: PolynomialFactor) -> BigPicture:
     idx = cell_index_array(factor, params)
     r = f.range_size
     cell_flats, labels = np.divmod(np.unique(idx * (r + 1) + f.values), r + 1)
-    digits = index_digits(cell_flats, FieldParams(params.p, factor.complexity)).tolist()
+    digits = index_digits(cell_flats, cell_space(factor, params)).tolist()
     cells: dict[tuple[int, ...], set[int]] = {}
     for cell, label in zip(map(tuple, digits), labels.tolist()):
         cells.setdefault(cell, set()).add(label)

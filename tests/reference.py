@@ -4,11 +4,14 @@ they share no code with the library kernels they check; the distance oracle
 builds one table per polynomial, sharing only the monomial list and
 polynomial values with the coset transform it checks; the conciseness oracle
 is the kernel-completion construction that make_concise's row reduction
-reproduces.  The small helpers at the end serve only the tests."""
+reproduces; the refinement and sampled-bias oracles are the library's
+earlier implementations, an argsort with run-length scan and a per-digit
+lambda loop.  The small helpers at the end serve only the tests."""
 import numpy as np
 
 from affinetest import forms, gflinalg
-from affinetest.field import BudgetError, FieldParams, index_to_vec
+from affinetest.factor import cell_index_array
+from affinetest.field import BudgetError, FieldParams, index_to_vec, unit_roots
 from affinetest.forms import AffineConstraint, InducedConstraint, change_of_view
 from affinetest.poly import Polynomial, monomials_up_to_degree
 
@@ -134,6 +137,51 @@ def reference_make_concise(ic):
             raise AssertionError("distinguished variable lost unit coefficient")
         rows.append((c[ell - 1],) + tuple(c[ell - m : ell - 1]))
     return InducedConstraint(AffineConstraint.from_rows(p, rows), ic.sigma)
+
+
+def reference_is_semantic_refinement(fine, coarse, params=None, budget=1 << 24):
+    """Whether fine-cell equality implies coarse-cell equality, by sorting the
+    points by fine cell and checking the coarse cell is constant on each run."""
+    if fine.polys:
+        params = fine.params()
+    elif coarse.polys:
+        params = coarse.params()
+    elif params is None:
+        raise ValueError("two empty factors need explicit params")
+    if params.size > budget:
+        raise BudgetError("domain exceeds enumeration budget")
+    fi = cell_index_array(fine, params)
+    ci = cell_index_array(coarse, params)
+    order = np.argsort(fi, kind="stable")
+    fs, cs = fi[order], ci[order]
+    starts = np.ones(len(fs), dtype=bool)
+    starts[1:] = fs[1:] != fs[:-1]
+    rep = cs[starts][np.cumsum(starts) - 1]
+    return bool(np.all(rep == cs))
+
+
+def reference_sampled_max_bias(factor, params, budget, seed):
+    """The sampled bias certificate's maximum: `budget` seeded lambdas,
+    decoded digit by digit, each scored on the occupied cells weighted by
+    their point counts, 2^22 entries per chunk."""
+    p, c = params.p, factor.complexity
+    cells, weights = np.unique(cell_index_array(factor, params), return_counts=True)
+    digits = (cells // p ** np.arange(c, dtype=np.int64)[:, None] % p).astype(np.float64)
+    lam_ids = np.random.default_rng(seed).integers(1, p**c, size=budget, dtype=np.int64)
+    lams = np.empty((len(lam_ids), c), dtype=np.float64)
+    rem = lam_ids.copy()
+    for i in range(c):
+        lams[:, i] = rem % p
+        rem //= p
+    max_bias = 0.0
+    roots = unit_roots(p)
+    weights = weights.astype(np.float64)
+    chunk = max(1, (1 << 22) // len(cells))
+    for start in range(0, len(lams), chunk):
+        combo = (lams[start : start + chunk] @ digits).astype(np.int64) % p
+        sums = roots[combo] @ weights
+        max_bias = max(max_bias, float(np.abs(sums).max() / params.size))
+    return max_bias
 
 
 def cell_of_index(flat, factor):

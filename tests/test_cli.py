@@ -197,6 +197,51 @@ def test_consistency_command(blr_file, tmp_path, capsys):
     assert "consistent: True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("images, message", [
+    ("0 0, 0 0", "need 4 cell images, one per form, got 2"),
+    ("0 0, 0 0, 0 0, 0 0, 0 0", "need 4 cell images, one per form, got 5"),
+    ("1, 0, 1, 0", "cell image needs 2 digit(s), got 1"),
+    ("0 1, 1 1, 1 3, 0 0", "cell image digits must lie in [0, 2), got 1 3"),
+])
+def test_consistency_images_must_be_cells(blr_file, tmp_path, capsys, images, message):
+    fac = tmp_path / "lin.fac"
+    assert main(["fixture", "linear_factor", "--n", "5", "--count", "2", "--out", str(fac)]) == 0
+    capsys.readouterr()
+    assert main(["consistency", "--constraints", str(blr_file), "--factor", str(fac),
+                 "--images", images]) == 64
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_factor_stats_budget_counts_cells(tmp_path, capsys):
+    # 2^30 cells over an 8-point domain exceed the 2^24 enumeration budget
+    fac = tmp_path / "wide.fac"
+    save_factor(fixtures.random_factor(2, 3, 30, 1, seed=0), fac)
+    assert main(["factor-stats", "--factor", str(fac)]) == 2
+    assert capsys.readouterr().err.startswith("budget error:")
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("--eta", "nan"), ("--delta", "inf"), ("--eta", "-1"), ("--delta", "-0.25"),
+])
+def test_decompose_rejects_a_bad_constant_delta_or_eta(pinned_inputs, capsys, knob, value):
+    argv = ["decompose", "--function", "layer5.tab", "--degree", "1", knob, value,
+            "--out", "dec"]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == (
+        f"error: {knob[2:]} must be finite and >= 0, got {float(value)!r}\n"
+    )
+    assert not Path("dec").exists()
+
+
+def test_select_subcell_rejects_a_negative_delta(pinned_inputs, capsys):
+    # squared, -0.25 once acted as 0.25
+    assert main(PINNED["decompose_super.json"][0]) == 0
+    capsys.readouterr()
+    assert main(["select-subcell", "--function", "layer5.tab", "--result", "dec",
+                 "--delta", "-0.25", "--zeta", "0.15"]) == 64
+    assert capsys.readouterr().err == "error: delta must be finite and >= 0, got -0.25\n"
+
+
 def test_decompose_select_cleanup_pipeline(tmp_path, capsys):
     from affinetest import fixtures
     from affinetest.field import save_function_table
@@ -590,6 +635,8 @@ def test_factor_and_constraint_fixtures(tmp_path, capsys):
      "k-term AP needs 1 <= k <= p for distinct forms, got k = 0"),
     (["cleanup", "--function", "f.tab", "--coarse", "c.fac", "--fine", "f.fac",
       "--subcell", "5", "--zeta", "0.1"], "subcell digits must lie in [0, 2), got 5"),
+    (["cleanup", "--function", "f.tab", "--coarse", "c.fac", "--fine", "f.fac",
+      "--subcell", "0 0", "--zeta", "0.1"], "subcell needs 1 digit(s), got 2"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # each of these once looped forever, wrote a wrong file or raised a traceback

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,43 @@ def test_select_subcell_requires_proper_refinement():
     assert res.factor_fine.complexity == res.factor_coarse.complexity
     with pytest.raises(ValueError):
         select_subcell(f, res, 0.4, 0.2)
+
+
+@pytest.mark.parametrize("s", [(), (0, 0)], ids=["short", "long"])
+def test_subcell_id_length_is_checked(s):
+    # one polynomial past the coarse factor: a subcell id is one digit
+    params = FieldParams(2, 5)
+    f = FunctionTable(params, 2, 1 + coord(2, 5, 1).values())
+    res = _degenerate_result(f)
+    message = rf"subcell needs 1 digit\(s\), got {len(s)}"
+    with pytest.raises(ValueError, match=message):
+        subcell_conditions(f, res, s, 0.3, 0.25)
+    with pytest.raises(ValueError, match=message):
+        cleanup(f, res.factor_coarse, res.factor_fine, s, 0.25)
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("eta", math.nan), ("delta", math.inf), ("eta", -1.0), ("delta", -0.25),
+], ids=["eta-nan", "delta-inf", "eta-negative", "delta-negative"])
+def test_constant_delta_and_eta_must_be_finite_and_nonnegative(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be finite and >= 0, got {value!r}"):
+        DecompositionConfig(degree=1, **{knob: value})
+    # a callable schedule is taken as it is, and 0 is a valid constant
+    cfg = DecompositionConfig(degree=1, **{knob: lambda _c: value})
+    assert getattr(cfg, f"{knob}_fn")()(0) is value
+    assert getattr(DecompositionConfig(degree=1, **{knob: 0}), f"{knob}_fn")()(0) == 0.0
+
+
+@pytest.mark.parametrize("delta", [-0.25, math.nan, math.inf])
+def test_subcell_conditions_reject_a_bad_constant_delta(delta):
+    # squared, -0.25 would act as 0.25
+    params = FieldParams(2, 5)
+    f = FunctionTable(params, 2, 1 + coord(2, 5, 1).values())
+    res = _degenerate_result(f)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        subcell_conditions(f, res, (0,), delta, 0.25)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        select_subcell(f, res, delta, 0.25)
 
 
 def test_cleanup_identity_when_nothing_triggers():

@@ -31,11 +31,17 @@ from affinetest.factor import (
     label_frequencies,
     parse_factor,
 )
-from affinetest.field import canonical_index, index_to_vec, is_prime, unit_roots
-from affinetest.forms import mixed_dimension
+from affinetest.field import BudgetError, canonical_index, index_to_vec, is_prime, unit_roots
+from affinetest.forms import consistency_check, mixed_dimension
 from affinetest.poly import _transform_values, monomials_up_to_degree
 from affinetest import fixtures
-from reference import cell_of_index, constant_part, domain_coords
+from reference import (
+    cell_of_index,
+    constant_part,
+    domain_coords,
+    reference_is_semantic_refinement,
+    reference_sampled_max_bias,
+)
 
 
 def coord(p, n, i):
@@ -282,6 +288,46 @@ def test_cell_histogram_matches_per_cell_decoding(p, c):
     assert {type(x) for cell, k in got.items() for x in (*cell, k)} <= {int}
 
 
+def python_cell_indices(factor, params):
+    """sum_i P_i(x) p^i of every point x, in Python integers."""
+    values = [q.values().tolist() for q in factor.polys]
+    return [
+        sum(v[x] * params.p**i for i, v in enumerate(values)) for x in range(params.size)
+    ]
+
+
+@pytest.mark.parametrize("p,n,c,seed", [
+    (2, 3, 62, 0), (2, 4, 61, 1), (2, 5, 7, 2), (3, 3, 39, 3), (3, 2, 0, 4), (5, 2, 26, 5),
+    (7, 2, 3, 6),
+])
+def test_cell_index_array_is_the_digit_sum(p, n, c, seed):
+    # p = 2, C = 62 is the bound: indices up to 2^62 - 1
+    params = FieldParams(p, n)
+    factor = fixtures.random_factor(p, n, c, 2, seed=seed)
+    assert cell_index_array(factor, params).tolist() == python_cell_indices(factor, params)
+
+
+def test_cell_index_array_rejects_more_than_2_62_cells():
+    # 3^40 > 2^63: int64 indices would wrap, and some would come out negative
+    params = FieldParams(3, 3)
+    factor = fixtures.random_factor(3, 3, 40, 2, seed=0)
+    assert max(python_cell_indices(factor, params)) >= 2**63
+    for call in (cell_index_array, cell_histogram, bias_certificate):
+        with pytest.raises(ValueError, match="overflows the index type"):
+            call(factor, params)
+
+
+def test_cell_histogram_charges_the_cell_space():
+    # 2^30 cells over an 8-point domain: the cell space, not the domain, binds
+    factor = fixtures.random_factor(2, 3, 30, 1, seed=0)
+    with pytest.raises(BudgetError, match="cell space"):
+        cell_histogram(factor, budget=1 << 24)
+    small = fixtures.random_factor(2, 3, 5, 1, seed=0)
+    assert sum(cell_histogram(small, budget=32).values()) == 8
+    with pytest.raises(BudgetError):
+        cell_histogram(small, budget=31)
+
+
 def test_conditional_expectation_examples():
     f = fixtures.random_function(3, 2, 2, seed=5).indicator_slice(1)
     ce = conditional_expectation(f, PolynomialFactor.trivial())
@@ -413,6 +459,17 @@ def test_sampled_bias_is_max_over_its_sample(p, n, c, budget, seed):
     assert cert.max_bias < bias_certificate(factor).max_bias - 1e-3
 
 
+@pytest.mark.parametrize("p,c", [(2, 17), (2, 18), (2, 19), (2, 20), (3, 11)])
+def test_sampled_bias_equals_the_digit_loop_scoring(p, c):
+    # bit for bit, not within a tolerance: the lambda digits come from the
+    # cell space, the scoring is unchanged
+    factor = fixtures.random_factor(p, {2: 10, 3: 6}[p], c, 2, seed=c)
+    for seed in range(3):
+        cert = bias_certificate(factor, budget=300, seed=seed)
+        assert not cert.exhaustive
+        assert cert.max_bias == reference_sampled_max_bias(factor, factor.params(), 300, seed)
+
+
 def test_cell_size_band_against_exhaustive_bias():
     for seed in range(6):
         factor = fixtures.random_factor(2, 8, 3, 2, seed=seed)
@@ -431,6 +488,40 @@ def test_refinement_checks():
     assert not is_semantic_refinement(
         PolynomialFactor((coord(2, 2, 1),)), PolynomialFactor((coord(2, 2, 2),))
     )
+
+
+@st.composite
+def factor_pairs(draw):
+    """(fine, coarse, params or None): each coarse polynomial is a fine one,
+    the sum of two (both refined by fine) or a random one (mostly not)."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, {2: 5, 3: 3}[p]))
+    d = draw(st.integers(1, min(2, n * (p - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    fine = tuple(fixtures.random_polynomial(p, n, d, rng) for _ in range(draw(st.integers(0, 4))))
+    kinds = ["random", "fine", "sum"] if fine else ["random"]
+    coarse = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if kind == "random":
+            coarse.append(fixtures.random_polynomial(p, n, d, rng))
+        elif kind == "fine":
+            coarse.append(draw(st.sampled_from(fine)))
+        else:
+            monos = dict(draw(st.sampled_from(fine)).terms)
+            for e, coeff in draw(st.sampled_from(fine)).terms:
+                monos[e] = monos.get(e, 0) + coeff
+            coarse.append(Polynomial.from_monomials(p, n, monos))
+    explicit = not (fine or coarse) or draw(st.booleans())
+    params = FieldParams(p, n) if explicit else None
+    return PolynomialFactor(fine), PolynomialFactor(tuple(coarse)), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pairs())
+def test_semantic_refinement_matches_the_run_length_reference(case):
+    fine, coarse, params = case
+    want = reference_is_semantic_refinement(fine, coarse, params)
+    assert is_semantic_refinement(fine, coarse, params) is want
 
 
 def test_common_refinement():
@@ -492,6 +583,27 @@ def test_pattern_probability_blr_exact():
     bad = CellImage(((1, 0), (0, 0), (0, 0), (0, 0)))
     assert pattern_probability(b, a, bad, mode="bruteforce") == 0.0
     assert pattern_probability(b, a, bad, mode="predicted") == 0.0
+
+
+@pytest.mark.parametrize("cells", [
+    ((1,), (0,), (1,), (0,)),
+    ((0, 1), (1, 1), (1, 3), (0, 0)),
+    ((0, 1), (1, 1), (1, 0), (0, 0), (0, 0)),
+    ((0, 1), (1, 1)),
+    (),
+], ids=["width-1", "digit-3", "five-images", "two-images", "no-images"])
+def test_cell_images_must_be_points_of_the_cell_space(cells):
+    # four forms, two polynomials over F_2: four images of two digits in [0, 2)
+    b = PolynomialFactor((coord(2, 4, 1), coord(2, 4, 2)))
+    a = fixtures.derivative_forms(2)
+    img = CellImage(cells)
+    with pytest.raises(ValueError, match="cell image"):
+        pattern_count(b, a, img)
+    with pytest.raises(ValueError, match="cell image"):
+        consistency_check(a, (1, 1), img)
+    for mode in ("predicted", "bruteforce"):
+        with pytest.raises(ValueError, match="cell image"):
+            pattern_probability(b, a, img, mode=mode)
 
 
 def test_pattern_probability_band_for_degree_two():
