@@ -34,6 +34,7 @@ from .decompose import (
 from .factor import (
     bias_certificate,
     cell_histogram,
+    check_same_field,
     degree_index,
     load_factor,
     pattern_probability,
@@ -137,7 +138,8 @@ def cmd_dimension(args) -> int:
 
 def cmd_consistency(args) -> int:
     ic = _first_constraint(args.constraints)
-    factor, _ = load_factor(args.factor)
+    factor, params = load_factor(args.factor)
+    check_same_field(ic.constraint, params)
     cells = tuple(
         tuple(int(t) for t in chunk.split()) for chunk in args.images.split(",")
     )

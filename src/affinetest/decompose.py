@@ -82,6 +82,12 @@ class SelectionError(RuntimeError):
     """No subcell id passed both selection conditions within max_attempts."""
 
 
+def check_zeta(zeta: float) -> None:
+    """zeta, a fraction of cells and a gap between frequencies, lies in (0, 1]."""
+    if not 0 < zeta <= 1:
+        raise ValueError(f"zeta must lie in (0, 1], got {zeta!r}")
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     """Knobs for the decomposition loops.
@@ -103,8 +109,7 @@ class DecompositionConfig:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if not 0 < self.zeta <= 1:
-            raise ValueError("zeta must lie in (0, 1]")
+        check_zeta(self.zeta)
         if min(self.max_factor_size, self.max_iterations, self.search_budget) < 1:
             raise ValueError("budgets must be positive")
         self.delta_fn()  # a constant delta or eta that is not finite and >= 0 raises
@@ -472,6 +477,7 @@ def subcell_conditions(
     (b) fewer than a zeta fraction of coarse cells have any label slice whose
         mean over (c, s) deviates from its mean over c by more than zeta.
     """
+    check_zeta(zeta)
     coarse_idx, in_sub, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
         f, result.factor_fine, result.factor_coarse.complexity, s
     )
@@ -511,6 +517,7 @@ def select_subcell(
     holds with probability at least 3/4 over a uniform s, so acceptance
     within a few attempts is the typical outcome.
     """
+    check_zeta(zeta)
     extra = result.factor_fine.complexity - result.factor_coarse.complexity
     if extra <= 0:
         raise ValueError("result has no proper refinement to select from")
@@ -652,6 +659,7 @@ def cleanup(
     break to the smallest label.  A nonempty cell with an empty chosen
     subcell is a hard error (degeneracy upstream).
     """
+    check_zeta(zeta)
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
     coarse_idx, _, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(

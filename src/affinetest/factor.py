@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import (
+    MAX_DOMAIN_BITS,
     BudgetError,
     FieldParams,
     FunctionTable,
@@ -37,6 +38,9 @@ from .poly import Polynomial
 
 DEFAULT_BIAS_BUDGET = 1 << 16
 DEFAULT_ENUM_BUDGET = 1 << 24
+# entries of one sampled bias scoring chunk (lambdas x occupied cells), and the
+# largest cell space whose spectrum a sampled certificate reads at p = 2
+BIAS_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,14 @@ class PolynomialFactor:
 def cell_space(factor: PolynomialFactor, params: FieldParams | None = None) -> FieldParams:
     """F_p^C, whose canonical indices number the factor's cells; past 2^62
     cells it raises ValueError, as the index type holds no more."""
-    return FieldParams(factor.params(params).p, factor.complexity)
+    p = factor.params(params).p
+    try:
+        return FieldParams(p, factor.complexity)
+    except ValueError:  # p is the domain's prime, so only the size can fail
+        raise ValueError(
+            f"cell space p^C = {p}^{factor.complexity} overflows the index type"
+            f" (at most 2^{MAX_DOMAIN_BITS} cells)"
+        ) from None
 
 
 @lru_cache(maxsize=1024)
@@ -205,12 +216,17 @@ def bias_certificate(
 ) -> BiasCertificate:
     """Max bias over nonzero lambda in F_p^C.
 
-    Exhaustive when p^C - 1 <= budget: the bias of sum lambda_i P_i is
-    |E_x e_p(lambda . B(x))|, the lambda-th Fourier coefficient of the cell
-    histogram scaled by p^C / p^n, so one bincount and one p^C-point
-    fourier_means score every lambda.  Otherwise the maximum runs over a
-    seeded sample of `budget` combinations, each scored on the nonempty cells
-    weighted by their point counts.
+    The bias of sum lambda_i P_i is |E_x e_p(lambda . B(x))|, the lambda-th
+    Fourier coefficient of the cell histogram scaled by p^C / p^n.  Exhaustive
+    when p^C - 1 <= budget: one bincount and one p^C-point fourier_means score
+    every lambda.  Otherwise the maximum runs over a seeded sample of `budget`
+    lambdas.  At p = 2 with 2^C <= min(BIAS_CHUNK, budget * 2^n) they are read
+    off that same spectrum, which then has no more entries than scoring them
+    would touch; everywhere else each lambda is scored on the occupied cells
+    weighted by their point counts, BIAS_CHUNK entries at a time.  At p = 2
+    both routes sum +-1 times integer counts, exactly, and scale by powers of
+    two, so the route never changes a bit of the result; at p >= 3 they would
+    round differently, and the scoring route is kept.
     """
     params = factor.params(params)
     space = cell_space(factor, params)
@@ -219,26 +235,32 @@ def bias_certificate(
         return BiasCertificate(0.0, 0, True)
     total = space.size - 1
     if total <= budget:
-        counts = np.bincount(cell_index_array(factor, params), minlength=space.size)
-        means = fourier_means(counts, space)
-        max_bias = float(np.abs(means[1:]).max()) * (space.size / params.size)
-        return BiasCertificate(max_bias, total, True)
-    # nonempty cells only: p^C, past the exhaustive budget, can outgrow the domain
+        return BiasCertificate(_spectrum_max(factor, params, space, slice(1, None)), total, True)
+    rng = np.random.default_rng(seed)
+    lam_ids = rng.integers(1, space.size, size=budget, dtype=np.int64)
+    if p == 2 and space.size <= min(BIAS_CHUNK, budget * params.size):
+        return BiasCertificate(_spectrum_max(factor, params, space, lam_ids), len(lam_ids), False)
+    # occupied cells only: p^C, past the spectrum's reach, can outgrow the domain
     cells, weights = np.unique(cell_index_array(factor, params), return_counts=True)
     # float64 so that the products below run in BLAS; every sum is an exact integer
     digits = (cells // p ** np.arange(c, dtype=np.int64)[:, None] % p).astype(np.float64)
-    rng = np.random.default_rng(seed)
-    lam_ids = rng.integers(1, space.size, size=budget, dtype=np.int64)
     lams = index_digits(lam_ids, space).astype(np.float64)
     max_bias = 0.0
     roots = unit_roots(p)
     weights = weights.astype(np.float64)
-    chunk = max(1, (1 << 22) // len(cells))
+    chunk = max(1, BIAS_CHUNK // len(cells))
     for start in range(0, len(lams), chunk):
         combo = (lams[start : start + chunk] @ digits).astype(np.int64) % p
         sums = roots[combo] @ weights
         max_bias = max(max_bias, float(np.abs(sums).max() / params.size))
     return BiasCertificate(max_bias, len(lam_ids), False)
+
+
+def _spectrum_max(factor: PolynomialFactor, params: FieldParams, space: FieldParams, lams) -> float:
+    """Max of |E_x e_p(lambda . B(x))| over the lambdas that `lams` indexes
+    in F_p^C, read off the transform of the cell histogram."""
+    counts = np.bincount(cell_index_array(factor, params), minlength=space.size)
+    return float(np.abs(fourier_means(counts, space))[lams].max()) * (space.size / params.size)
 
 
 def is_semantic_refinement(
@@ -315,6 +337,14 @@ def represents(
     return flagged <= zeta * n_coarse
 
 
+def check_same_field(constraint: AffineConstraint, params: FieldParams) -> None:
+    """A constraint over F_q applies only to a factor over F_q^n."""
+    if constraint.p != params.p:
+        raise ValueError(
+            f"constraint over F_{constraint.p} does not apply to a factor over F_{params.p}^{params.n}"
+        )
+
+
 def pattern_count(
     factor: PolynomialFactor,
     constraint: AffineConstraint,
@@ -324,6 +354,7 @@ def pattern_count(
 ) -> tuple[int, int]:
     """Exact (#tuples with B(a_j(x)) = b_j for all j, #tuples) by enumeration."""
     params = factor.params(params)
+    check_same_field(constraint, params)
     targets = images.indices(constraint.size, cell_space(factor, params))
     total = params.size**constraint.ell
     if total > budget:
@@ -352,6 +383,8 @@ def pattern_probability(
         return count / total
     if mode != "predicted":
         raise ValueError(f"unknown mode {mode!r}")
+    if factor.polys or params is not None:
+        check_same_field(constraint, factor.params(params))
     degrees = factor.degree_list()
     if any(d < 1 for d in degrees):
         raise ValueError("predicted mode needs all polynomial degrees >= 1")

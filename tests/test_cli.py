@@ -197,6 +197,21 @@ def test_consistency_command(blr_file, tmp_path, capsys):
     assert "consistent: True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("images", ["0 0, 0 0, 0 0, 0 0", "0, 0"])
+def test_consistency_rejects_a_constraint_over_another_field(tmp_path, capsys, images):
+    # an F_3 constraint with an F_2 factor once printed "consistent: True";
+    # the fields are compared before the images are read as cells of either
+    col, fac = tmp_path / "blr3.col", tmp_path / "lin.fac"
+    assert main(["fixture", "blr_constraint", "--p", "3", "--out", str(col)]) == 0
+    assert main(["fixture", "linear_factor", "--n", "5", "--count", "2", "--out", str(fac)]) == 0
+    capsys.readouterr()
+    assert main(["consistency", "--constraints", str(col), "--factor", str(fac),
+                 "--images", images]) == 64
+    assert capsys.readouterr() == (
+        "", "error: constraint over F_3 does not apply to a factor over F_2^5\n"
+    )
+
+
 @pytest.mark.parametrize("images, message", [
     ("0 0, 0 0", "need 4 cell images, one per form, got 2"),
     ("0 0, 0 0, 0 0, 0 0, 0 0", "need 4 cell images, one per form, got 5"),
@@ -240,6 +255,26 @@ def test_select_subcell_rejects_a_negative_delta(pinned_inputs, capsys):
     assert main(["select-subcell", "--function", "layer5.tab", "--result", "dec",
                  "--delta", "-0.25", "--zeta", "0.15"]) == 64
     assert capsys.readouterr().err == "error: delta must be finite and >= 0, got -0.25\n"
+
+
+@pytest.mark.parametrize("command", ["select-subcell", "cleanup"])
+@pytest.mark.parametrize("zeta", ["nan", "-1", "0", "5"])
+def test_subcell_commands_reject_zeta_outside_0_1(pinned_inputs, capsys, command, zeta):
+    # nan and -1 once exited 2 blaming the certificates, 5 accepted a subcell
+    assert main(PINNED["decompose_super.json"][0]) == 0
+    doc = json.loads(Path("dec/summary.json").read_text())
+    Path("coarse.fac").write_text(doc["factor_coarse"])
+    Path("fine.fac").write_text(doc["factor_fine"])
+    capsys.readouterr()
+    if command == "select-subcell":
+        argv = ["select-subcell", "--function", "layer5.tab", "--result", "dec",
+                "--delta", "0.25", "--json", "out"]
+    else:
+        argv = ["cleanup", "--function", "layer5.tab", "--coarse", "coarse.fac",
+                "--fine", "fine.fac", "--subcell", "1 1", "--out", "out"]
+    assert main(argv + ["--zeta", zeta]) == 64
+    assert capsys.readouterr() == ("", f"error: zeta must lie in (0, 1], got {float(zeta)!r}\n")
+    assert not Path("out").exists()
 
 
 def test_decompose_select_cleanup_pipeline(tmp_path, capsys):

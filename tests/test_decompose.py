@@ -423,6 +423,22 @@ def test_cleanup_distance_bound_on_accepted_instances():
     assert checked >= 8
 
 
+@pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, 5.0])
+def test_zeta_outside_0_1_is_rejected(zeta):
+    # DecompositionConfig's range, checked again where a zeta arrives alone;
+    # no attempt at all still rejects it
+    f = fixtures.layered_table(2, 5, 0, deep_cells=1, quarter=True)
+    res = super_decompose(f, DecompositionConfig(degree=1, delta=0.25, eta=0.04, zeta=0.15))
+    s = (0,) * (res.factor_fine.complexity - res.factor_coarse.complexity)
+    message = r"zeta must lie in \(0, 1\]"
+    for call in (lambda: DecompositionConfig(degree=1, zeta=zeta),
+                 lambda: subcell_conditions(f, res, s, 0.25, zeta),
+                 lambda: select_subcell(f, res, 0.25, zeta, max_attempts=0),
+                 lambda: cleanup(f, res.factor_coarse, res.factor_fine, s, zeta)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_result_save_load_round_trip(tmp_path):
     # load_result inverts save_result on a super result, the same with a
     # subcell, and a strong result; the trace is not reloaded

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from affinetest import (
     AffineConstraint,
@@ -31,10 +33,17 @@ from affinetest.factor import (
     label_frequencies,
     parse_factor,
 )
-from affinetest.field import BudgetError, canonical_index, index_to_vec, is_prime, unit_roots
+from affinetest.field import (
+    BudgetError,
+    canonical_index,
+    fourier_means,
+    index_to_vec,
+    is_prime,
+    unit_roots,
+)
 from affinetest.forms import consistency_check, mixed_dimension
 from affinetest.poly import _transform_values, monomials_up_to_degree
-from affinetest import fixtures
+from affinetest import factor as factor_module, fixtures
 from reference import (
     cell_of_index,
     constant_part,
@@ -313,7 +322,8 @@ def test_cell_index_array_rejects_more_than_2_62_cells():
     factor = fixtures.random_factor(3, 3, 40, 2, seed=0)
     assert max(python_cell_indices(factor, params)) >= 2**63
     for call in (cell_index_array, cell_histogram, bias_certificate):
-        with pytest.raises(ValueError, match="overflows the index type"):
+        # the cell space overflows, not the 27-point domain
+        with pytest.raises(ValueError, match=r"^cell space p\^C = 3\^40 overflows the index type"):
             call(factor, params)
 
 
@@ -461,13 +471,84 @@ def test_sampled_bias_is_max_over_its_sample(p, n, c, budget, seed):
 
 @pytest.mark.parametrize("p,c", [(2, 17), (2, 18), (2, 19), (2, 20), (3, 11)])
 def test_sampled_bias_equals_the_digit_loop_scoring(p, c):
-    # bit for bit, not within a tolerance: the lambda digits come from the
-    # cell space, the scoring is unchanged
+    # bit for bit, not within a tolerance.  At p = 2, n = 10 and 300 lambdas,
+    # C = 17 and 18 (2^C <= 300 * 2^10) read the lambdas off the histogram's
+    # spectrum, C = 19 and 20 score them on the occupied cells
     factor = fixtures.random_factor(p, {2: 10, 3: 6}[p], c, 2, seed=c)
     for seed in range(3):
         cert = bias_certificate(factor, budget=300, seed=seed)
         assert not cert.exhaustive
         assert cert.max_bias == reference_sampled_max_bias(factor, factor.params(), 300, seed)
+
+
+def sampled_bias_and_route(factor, budget, seed):
+    """(max_bias, whether it was read off the spectrum) of a sampled certificate."""
+    with mock.patch.object(factor_module, "fourier_means", wraps=fourier_means) as spy:
+        cert = bias_certificate(factor, budget=budget, seed=seed)
+    assert not cert.exhaustive and cert.checked_combinations == budget
+    return cert.max_bias, spy.called
+
+
+@st.composite
+def sampled_bias_cases(draw):
+    """(n, C, budget, seed) of a sampled certificate at p = 2, with budget * 2^n
+    up to 2^20 on either side of 2^C."""
+    n = draw(st.integers(1, 12), label="n")
+    c = draw(st.integers(2, 20), label="C")
+    top = min(2**c - 2, 1 << 14, (1 << 20) >> n)
+    budget = draw(st.one_of(st.integers(1, min(top, 8)), st.integers(1, top)), label="budget")
+    return n, c, budget, draw(st.integers(0, 3), label="seed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_bias_cases())
+@example((12, 20, 256, 0))  # 2^C = budget * 2^n: the spectrum
+@example((12, 20, 255, 1))  # one lambda fewer: the scoring
+@example((3, 17, 1 << 14, 2))  # 2^C = budget * 2^n at the fewest points
+def test_sampled_bias_at_p2_equals_the_digit_loop_scoring(case):
+    n, c, budget, seed = case
+    factor = fixtures.random_factor(2, n, c, min(2, n), seed=seed)
+    max_bias, spectral = sampled_bias_and_route(factor, budget, seed)
+    event("spectrum" if spectral else "scoring")
+    assert spectral == (2**c <= budget * 2**n)
+    assert max_bias == reference_sampled_max_bias(factor, factor.params(), budget, seed)
+
+
+def test_sampled_bias_past_the_spectrum_cap_scores_its_lambdas(monkeypatch):
+    # 2^12 cells and 2^12 * 2^7 sampled entries: the spectrum unless it would
+    # exceed one scoring chunk, which a small chunk makes it
+    factor = fixtures.random_factor(2, 7, 12, 2, seed=4)
+    want = [reference_sampled_max_bias(factor, factor.params(), 40, seed) for seed in range(3)]
+    for chunk, spectral in ((factor_module.BIAS_CHUNK, True), (1 << 12, True), (1 << 11, False)):
+        monkeypatch.setattr(factor_module, "BIAS_CHUNK", chunk)
+        got = [sampled_bias_and_route(factor, 40, seed) for seed in range(3)]
+        assert got == [(bias, spectral) for bias in want]
+
+
+@pytest.mark.parametrize("p,n,c", [(3, 6, 7), (5, 4, 5)])
+def test_sampled_bias_at_odd_p_keeps_the_digit_loop_scoring(p, n, c):
+    # p^C <= budget * p^n, yet no transform: at p >= 3 it would round
+    # differently in the last bits
+    factor = fixtures.random_factor(p, n, c, 2, seed=c)
+    for seed in range(3):
+        assert sampled_bias_and_route(factor, 300, seed) == (
+            reference_sampled_max_bias(factor, factor.params(), 300, seed), False
+        )
+
+
+def test_sampled_bias_memory_is_bounded_by_the_cell_space():
+    # the oracles benchmark's sampled certificate: 2^16 cells, 64 lambdas;
+    # scoring them on every occupied cell traced about 42 MiB
+    factor = fixtures.random_factor(2, 15, 16, 2, seed=100)
+    cell_index_array(factor)
+    tracemalloc.start()
+    try:
+        cert = bias_certificate(factor, budget=64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.max_bias == reference_sampled_max_bias(factor, factor.params(), 64, 1)
+    assert peak < 8 << 20
 
 
 def test_cell_size_band_against_exhaustive_bias():
@@ -604,6 +685,24 @@ def test_cell_images_must_be_points_of_the_cell_space(cells):
     for mode in ("predicted", "bruteforce"):
         with pytest.raises(ValueError, match="cell image"):
             pattern_probability(b, a, img, mode=mode)
+
+
+def test_constraint_and_factor_must_share_the_field():
+    # F_3 forms once scanned the F_2 grid, and the prediction was 3^-6
+    b = fixtures.linear_factor(2, 4, 2, seed=0)
+    a = fixtures.derivative_forms(3)
+    img = CellImage(((0, 0),) * 4)
+    message = "constraint over F_3 does not apply to a factor over F_2\\^4"
+    with pytest.raises(ValueError, match=message):
+        pattern_count(b, a, img)
+    for mode in ("predicted", "bruteforce"):
+        with pytest.raises(ValueError, match=message):
+            pattern_probability(b, a, img, mode=mode)
+    # an empty factor has the domain it is given, and none to compare without one
+    empty = PolynomialFactor.trivial()
+    with pytest.raises(ValueError, match=message):
+        pattern_probability(empty, a, CellImage(((),) * 4), params=FieldParams(2, 4))
+    assert pattern_probability(empty, a, CellImage(((),) * 4)) == 1.0
 
 
 def test_pattern_probability_band_for_degree_two():
