@@ -51,7 +51,6 @@ from .forms import (
     InducedConstraint,
     consistency_check,
     cs_complexity,
-    dimension_d,
     dump_collection,
     dump_induced_constraint,
     mixed_dimension,
@@ -127,10 +126,7 @@ def cmd_gowers(args) -> int:
 
 def cmd_dimension(args) -> int:
     ic = _first_constraint(args.constraints)
-    if len(args.degrees) == 1:
-        val = dimension_d(ic.constraint.forms, args.degrees[0])
-    else:
-        val = mixed_dimension(ic.constraint.forms, args.degrees)
+    val = mixed_dimension(ic.constraint.forms, args.degrees)
     _emit(args, {"degrees": args.degrees, "dimension": val},
           f"dimension at degrees {args.degrees}: {val}")
     return EXIT_OK

@@ -37,6 +37,7 @@ from .factor import (
     PolynomialFactor,
     bias_certificate,
     cell_index_array,
+    check_zeta,
     conditional_expectation,
     density_index,
     dump_factor,
@@ -80,12 +81,6 @@ def as_schedule(value, fallback: Schedule, name: str = "schedule") -> Schedule:
 
 class SelectionError(RuntimeError):
     """No subcell id passed both selection conditions within max_attempts."""
-
-
-def check_zeta(zeta: float) -> None:
-    """zeta, a fraction of cells and a gap between frequencies, lies in (0, 1]."""
-    if not 0 < zeta <= 1:
-        raise ValueError(f"zeta must lie in (0, 1], got {zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -151,18 +146,6 @@ class DecompositionResult:
     trace: tuple[dict, ...] = field(default_factory=tuple)
 
 
-def _affinely_independent(factor: PolynomialFactor, poly) -> bool:
-    """Whether poly's linear part is outside the affine span of the factor's."""
-    rows = [q.linear_part() for q in factor.polys]
-    vec = np.array(poly.linear_part(), dtype=np.int64)
-    p = poly.p
-    if not vec.any():
-        return False
-    if not rows:
-        return True
-    return not gflinalg.in_rowspan(np.array(rows, dtype=np.int64), vec, p)
-
-
 def _residual(f_slice: RealTable, factor: PolynomialFactor) -> RealTable:
     """f - E[f|B] on one slice."""
     expect = conditional_expectation(f_slice, factor)
@@ -185,7 +168,9 @@ def refine_step(
     witness = inverse_gowers_search(_residual(f_slice, factor), d, budget)
     if witness.correlation <= CORRELATION_FLOOR:
         return None
-    if d == 1 and not _affinely_independent(factor, witness.polynomial):
+    q = witness.polynomial
+    rows = [b.linear_part() for b in factor.polys]
+    if d == 1 and gflinalg.in_rowspan(rows, q.linear_part(), q.p):
         raise AssertionError(
             "degree-1 witness affinely dependent on the factor; residual projection bug"
         )

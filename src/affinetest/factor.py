@@ -15,6 +15,7 @@ enumerates domain and cells, is charged max(p^n, p^C) against its budget.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,32 +168,26 @@ def density_index(fs: Sequence[RealTable], factor: PolynomialFactor) -> float:
 @dataclass(frozen=True)
 class DegreeIndex:
     """Counts of defining polynomials per exact degree, with the
-    anti-lexicographic order (largest differing degree decides)."""
+    anti-lexicographic order (largest differing degree decides, fewer of it
+    is smaller): that of the descending degree sequences, as tuples."""
 
     counts: tuple[tuple[int, int], ...]  # sorted (degree, count), count > 0
 
     @classmethod
     def of(cls, factor: PolynomialFactor) -> "DegreeIndex":
-        acc: dict[int, int] = {}
-        for q in factor.polys:
-            acc[q.degree] = acc.get(q.degree, 0) + 1
-        return cls(tuple(sorted(acc.items())))
+        return cls(tuple(sorted(Counter(q.degree for q in factor.polys).items())))
 
     def count(self, degree: int) -> int:
         return dict(self.counts).get(degree, 0)
 
+    def _descending(self) -> tuple[int, ...]:
+        return tuple(d for d, k in reversed(self.counts) for _ in range(k))
+
     def __lt__(self, other: "DegreeIndex") -> bool:
-        degrees = sorted(
-            set(dict(self.counts)) | set(dict(other.counts)), reverse=True
-        )
-        for d in degrees:
-            a, b = self.count(d), other.count(d)
-            if a != b:
-                return a < b
-        return False
+        return self._descending() < other._descending()
 
     def __le__(self, other: "DegreeIndex") -> bool:
-        return self == other or self < other
+        return self._descending() <= other._descending()
 
 
 def degree_index(factor: PolynomialFactor) -> DegreeIndex:
@@ -230,8 +225,8 @@ def bias_certificate(
     """
     params = factor.params(params)
     space = cell_space(factor, params)
-    p, c = space.p, space.n
-    if c == 0:
+    p = space.p
+    if space.n == 0:
         return BiasCertificate(0.0, 0, True)
     total = space.size - 1
     if total <= budget:
@@ -243,7 +238,7 @@ def bias_certificate(
     # occupied cells only: p^C, past the spectrum's reach, can outgrow the domain
     cells, weights = np.unique(cell_index_array(factor, params), return_counts=True)
     # float64 so that the products below run in BLAS; every sum is an exact integer
-    digits = (cells // p ** np.arange(c, dtype=np.int64)[:, None] % p).astype(np.float64)
+    digits = index_digits(cells, space).T.astype(np.float64)
     lams = index_digits(lam_ids, space).astype(np.float64)
     max_bias = 0.0
     roots = unit_roots(p)
@@ -298,6 +293,12 @@ def label_frequencies(
     return freq.sum(axis=0), freq
 
 
+def check_zeta(zeta: float) -> None:
+    """zeta, a fraction of cells and a gap between frequencies, lies in (0, 1]."""
+    if not 0 < zeta <= 1:
+        raise ValueError(f"zeta must lie in (0, 1], got {zeta!r}")
+
+
 def represents(
     f: FunctionTable,
     fine: PolynomialFactor,
@@ -311,7 +312,9 @@ def represents(
     zeta for some label i.  Empty subcells are skipped (the denominator counts
     nonempty subcells).  One label_frequencies count over the fine cells
     gives every label's means, a coarse cell's counts summing its subcells'.
+    A zeta outside (0, 1] raises ValueError.
     """
+    check_zeta(zeta)
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
     r = f.range_size

@@ -145,34 +145,35 @@ def fourier_means(values, params: FieldParams) -> np.ndarray:
     """E_x v(x) e_p(lambda . x) for every lambda in F_p^n, in canonical order.
 
     The last axis of `values` is the table; leading axes hold independent
-    tables, transformed together.  The result is complex128 of the same shape.
-    At p >= 3 this is one n-dimensional inverse FFT over the (p,)*n cube of
+    tables, transformed together.  The result has the same shape.  At p >= 3
+    it is complex128: one n-dimensional inverse FFT over the (p,)*n cube of
     the table.  At p = 2 it is the Walsh-Hadamard transform, run in place as n
     butterfly passes, coordinate 1 (the cube's last axis) first: on every
     pair (a, b) of entries 2^j apart, a + b and a - b, then the whole array
     times 1/2.  Those are the additions and scalings of the inverse FFT's
     length-2 passes in its order, so the result is bit-identical to it,
-    without n FFT calls and their axis copies.  Real and integer tables run
-    in float64, complex ones in complex128, and the result is cast once at
-    the end.
+    without n FFT calls and their axis copies.  The Walsh spectrum of a real
+    table is real, so real and integer tables run and come back in float64
+    (the inverse FFT's real part, its imaginary part being exactly 0), and
+    complex ones in complex128.
     """
     v = np.asarray(values)
     p, n = params.p, params.n
+    if p == 2:
+        a = np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64, order="C")
+        for j in range(n):
+            # every 2^(j+1)-block lies inside one table, so leading axes fold in
+            pairs = a.reshape(-1, 2, 1 << j)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            total = lo + hi
+            np.subtract(lo, hi, out=hi)
+            lo[...] = total
+            a *= 0.5
+        return a
     if n == 0:
         return v.astype(complex)
-    if p > 2:
-        cube = v.reshape(v.shape[:-1] + (p,) * n)
-        return np.fft.ifftn(cube, axes=tuple(range(-n, 0))).reshape(v.shape)
-    a = np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64, order="C")
-    for j in range(n):
-        # every 2^(j+1)-block lies inside one table, so leading axes fold in
-        pairs = a.reshape(-1, 2, 1 << j)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        total = lo + hi
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-        a *= 0.5
-    return a.astype(np.complex128, copy=False)
+    cube = v.reshape(v.shape[:-1] + (p,) * n)
+    return np.fft.ifftn(cube, axes=tuple(range(-n, 0))).reshape(v.shape)
 
 
 @dataclass(frozen=True)

@@ -62,16 +62,11 @@ def linear_factor(p: int, n: int, c: int, seed: int) -> PolynomialFactor:
         raise ValueError("cannot have more than n independent linear polynomials")
     rng = rng_for(seed, 0x11)
     rows: list[np.ndarray] = []
-    polys = []
-    while len(polys) < c:
+    while len(rows) < c:
         vec = rng.integers(0, p, size=n, dtype=np.int64)
-        if not vec.any():
-            continue
-        if rows and gflinalg.in_rowspan(np.array(rows), vec, p):
-            continue
-        rows.append(vec)
-        polys.append(Polynomial.linear(p, n, [int(v) for v in vec]))
-    return PolynomialFactor(tuple(polys))
+        if not gflinalg.in_rowspan(rows, vec, p):
+            rows.append(vec)
+    return PolynomialFactor(tuple(Polynomial.linear(p, n, vec.tolist()) for vec in rows))
 
 
 def random_factor(p: int, n: int, c: int, d: int, seed: int) -> PolynomialFactor:

@@ -161,12 +161,6 @@ class CellImage:
 # --- Cauchy-Schwarz complexity ---------------------------------------------
 
 
-def _span_contains(basis_rows: list[np.ndarray], vec: np.ndarray, p: int) -> bool:
-    if not basis_rows:
-        return not vec.any()
-    return gflinalg.in_rowspan(np.vstack(basis_rows), vec, p)
-
-
 def _partition_exists(target: np.ndarray, others: list[np.ndarray], parts: int, p: int) -> bool:
     """Can `others` be split into <= parts classes none of whose spans hit target?"""
 
@@ -182,7 +176,7 @@ def _partition_exists(target: np.ndarray, others: list[np.ndarray], parts: int, 
                     break  # empty classes are interchangeable
                 used = 1
             classes[c].append(others[i])
-            if not _span_contains(classes[c], target, p):
+            if not gflinalg.in_rowspan(classes[c], target, p):
                 if rec(i + 1):
                     classes[c].pop()
                     return True
@@ -363,10 +357,10 @@ def dump_induced_constraint(ic: InducedConstraint, range_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_block(text: str, constraints: dict) -> tuple[InducedConstraint, int]:
-    """One constraint block; `constraints` maps (p, l, form lines) to the
-    AffineConstraint already built from them, so equal blocks share it."""
-    lines = text.strip().split("\n")
+def _parse_head(lines: list[str]) -> tuple[AffineConstraint, int]:
+    """The constraint and range size R of one block, given as its lines; both
+    depend only on the lines before the sigma line and on how many lines
+    there are, one more than those."""
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError(f"constraint header needs 4 integers 'p l m R', got {lines[0]!r}")
@@ -377,14 +371,10 @@ def _parse_block(text: str, constraints: dict) -> tuple[InducedConstraint, int]:
         )
     if len(lines) != m + 2:
         raise ValueError(f"constraint block has {len(lines)} lines, its header declares {m + 2}")
-    key = (p, ell, tuple(lines[1 : m + 1]))
-    a = constraints.get(key)
-    if a is None:
-        rows = [[int(t) for t in ln.split()] for ln in lines[1 : m + 1]]
-        if any(len(row) != ell for row in rows):
-            raise ValueError(f"every form line needs l = {ell} coefficients")
-        a = constraints[key] = AffineConstraint.from_rows(p, rows)
-    return InducedConstraint(a, tuple(int(t) for t in lines[m + 1].split())), r
+    rows = [[int(t) for t in ln.split()] for ln in lines[1 : m + 1]]
+    if any(len(row) != ell for row in rows):
+        raise ValueError(f"every form line needs l = {ell} coefficients")
+    return AffineConstraint.from_rows(p, rows), r
 
 
 def dump_collection(col: ConstraintCollection, range_size: int) -> str:
@@ -393,15 +383,23 @@ def dump_collection(col: ConstraintCollection, range_size: int) -> str:
 
 def parse_collection(text: str) -> tuple[ConstraintCollection, int]:
     """A collection file's members and its range size R (1 when empty); all
-    blocks must agree on p and R, and each distinct block of form lines is
-    parsed and validated once."""
-    blocks = [b for b in text.strip().split("\n\n") if b.strip()]
-    constraints: dict = {}
-    parsed = [_parse_block(b, constraints) for b in blocks]
-    fields = sorted({(ic.constraint.p, r) for ic, r in parsed})
+    blocks must agree on p and R.  Each distinct block head (the lines before
+    the sigma line) is parsed and validated once, so equal heads share one
+    AffineConstraint, and every block's sigma line is read."""
+    heads: dict[tuple[str, ...], tuple[AffineConstraint, int]] = {}
+    members = []
+    for block in text.strip().split("\n\n"):
+        if not block.strip():
+            continue
+        lines = block.strip().split("\n")
+        key = tuple(lines[:-1])
+        if key not in heads:
+            heads[key] = _parse_head(lines)
+        members.append(InducedConstraint(heads[key][0], tuple(int(t) for t in lines[-1].split())))
+    fields = sorted({(a.p, r) for a, r in heads.values()})
     if len(fields) > 1:
         raise ValueError(f"collection blocks disagree on (p, R): {fields}")
-    return ConstraintCollection(tuple(ic for ic, _ in parsed)), fields[0][1] if fields else 1
+    return ConstraintCollection(tuple(members)), fields[0][1] if fields else 1
 
 
 def _sum_rows(left: np.ndarray, params: FieldParams) -> np.ndarray:

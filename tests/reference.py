@@ -198,4 +198,16 @@ def constant_part(poly):
 
 def parse_induced_constraint(text):
     """One constraint block and its range size R."""
-    return forms._parse_block(text, {})
+    col, r = forms.parse_collection(text)
+    (ic,) = col.members
+    return ic, r
+
+
+def reference_degree_index_lt(a, b):
+    """The anti-lexicographic order of degree indices: the largest degree
+    whose counts differ decides, the fewer polynomials the smaller."""
+    degrees = sorted(set(dict(a.counts)) | set(dict(b.counts)), reverse=True)
+    for d in degrees:
+        if a.count(d) != b.count(d):
+            return a.count(d) < b.count(d)
+    return False

@@ -619,13 +619,17 @@ def test_strong_decompose_command_extends_its_base(pinned_inputs, capsys):
 
 
 def test_dimension_and_distance_tables_commands(pinned_inputs, capsys):
-    forms = fixtures.derivative_forms(2).forms
-    for degrees, want in ((["2"], dimension_d(forms, 2)),
-                          (["1", "2"], mixed_dimension(forms, (1, 2)))):
-        assert main(["dimension", "--constraints", "blr.col", "--degrees", *degrees,
-                     "--json", "dim.json"]) == 0
-        assert json.loads(Path("dim.json").read_text()) == {
-            "degrees": [int(d) for d in degrees], "dimension": want}
+    assert main(["fixture", "blr_constraint", "--p", "3", "--out", "blr3.col"]) == 0
+    for p, path in ((2, "blr.col"), (3, "blr3.col")):
+        forms = fixtures.derivative_forms(p).forms
+        # one degree d reads dimension_d; several, their sum
+        cases = [([str(d)], dimension_d(forms, d)) for d in (1, 2, 3)]
+        cases.append((["1", "2"], mixed_dimension(forms, (1, 2))))
+        for degrees, want in cases:
+            assert main(["dimension", "--constraints", path, "--degrees", *degrees,
+                         "--json", "dim.json"]) == 0
+            assert json.loads(Path("dim.json").read_text()) == {
+                "degrees": [int(d) for d in degrees], "dimension": want}
     save_function_table(fixtures.random_function(2, 4, 2, seed=6), "far2.tab")
     differ, size = disagreement_count(load_function_table("far.tab"),
                                       load_function_table("far2.tab"))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from affinetest import decompose
 from affinetest.decompose import DecompositionResult, load_result, save_result
 from affinetest.field import BudgetError
 from affinetest.factor import PolynomialFactor, bias_certificate
-from affinetest.gowers import gowers_norm
+from affinetest.gowers import CorrelationWitness, gowers_norm
 from affinetest import fixtures
 
 
@@ -52,6 +53,28 @@ def test_refine_step_character_example():
     assert refined.polys[0].linear_part() == (1, 0, 0)
     gain = density_index([f], refined) - before
     assert abs(gain - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p,factor_rows,witness,dependent", [
+    (2, [(1, 0, 0), (0, 1, 0)], ((0, 0, 0), 1), True),  # zero linear part: a constant
+    (2, [], ((0, 1, 1), 0), False),  # the empty factor spans only 0
+    (2, [(1, 0, 0), (0, 1, 0)], ((1, 1, 0), 1), True),  # x_1 + x_2 + 1
+    (2, [(1, 0, 0), (0, 1, 0)], ((1, 1, 1), 0), False),
+    (3, [(1, 2, 0)], ((2, 1, 0), 0), True),  # 2 (x_1 + 2 x_2)
+    (3, [(1, 2, 0)], ((2, 2, 0), 0), False),
+])
+def test_degree_1_witness_must_be_affinely_independent(p, factor_rows, witness, dependent):
+    factor = PolynomialFactor(tuple(Polynomial.linear(p, 3, row) for row in factor_rows))
+    q = Polynomial.linear(p, 3, *witness)
+    f = RealTable(FieldParams(p, 3), np.zeros(p**3))
+    found = CorrelationWitness(q, 0.5)
+    with mock.patch.object(decompose, "inverse_gowers_search", return_value=found):
+        if dependent:
+            with pytest.raises(AssertionError, match="affinely dependent"):
+                refine_step(f, factor, 1)
+        else:
+            assert refine_step(f, factor, 1) == factor.extend(q)
+        assert refine_step(f, factor, 2) == factor.extend(q)  # checked at degree 1 only
 
 
 def test_refine_step_strictly_increases_index():
@@ -434,7 +457,8 @@ def test_zeta_outside_0_1_is_rejected(zeta):
     for call in (lambda: DecompositionConfig(degree=1, zeta=zeta),
                  lambda: subcell_conditions(f, res, s, 0.25, zeta),
                  lambda: select_subcell(f, res, 0.25, zeta, max_attempts=0),
-                 lambda: cleanup(f, res.factor_coarse, res.factor_fine, s, zeta)):
+                 lambda: cleanup(f, res.factor_coarse, res.factor_fine, s, zeta),
+                 lambda: represents(f, res.factor_fine, res.factor_coarse, zeta)):
         with pytest.raises(ValueError, match=message):
             call()
 

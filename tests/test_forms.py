@@ -464,9 +464,18 @@ def test_scan_grid_holds_less_than_one_index_array():
 
 def test_parse_collection_builds_each_constraint_once():
     col = fixtures.derivative_collection(5)
-    back, r = parse_collection(dump_collection(col, 5))
+    with mock.patch.object(forms, "_parse_head", wraps=forms._parse_head) as spy:
+        back, r = parse_collection(dump_collection(col, 5))
     assert back == col and r == 5
     assert len({id(ic.constraint) for ic in back.members}) == 1
+    assert spy.call_count == 1 and len(back) == 500
+
+
+@pytest.mark.parametrize("sigma", ["1", "1 2 1", "1 x", "0 1"])
+def test_bad_sigma_under_an_already_parsed_head_raises(sigma):
+    head = "2 2 2 2\n1 0\n1 1\n"
+    with pytest.raises(ValueError):
+        parse_collection(head + "1 2\n\n" + head + sigma)
 
 
 @pytest.mark.parametrize(

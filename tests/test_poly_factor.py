@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +28,7 @@ from affinetest import (
     represents,
 )
 from affinetest.factor import (
+    DegreeIndex,
     PolynomialFactor,
     cell_index_array,
     dump_factor,
@@ -42,12 +44,13 @@ from affinetest.field import (
     unit_roots,
 )
 from affinetest.forms import consistency_check, mixed_dimension
-from affinetest.poly import _transform_values, monomials_up_to_degree
+from affinetest.poly import _power_table, _transform_values, monomials_up_to_degree
 from affinetest import factor as factor_module, fixtures
 from reference import (
     cell_of_index,
     constant_part,
     domain_coords,
+    reference_degree_index_lt,
     reference_is_semantic_refinement,
     reference_sampled_max_bias,
 )
@@ -249,6 +252,16 @@ def test_linear_and_constant_terms_on_both_sides_of_each_transform_dtype(p, n, d
     assert_values_match_reference(Polynomial.from_monomials(p, n, {(0,) * n: p - 1}))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_power_table_equals_pow(p):
+    # the transform's square-and-multiply table against Python's pow, every
+    # exponent at once and a few alone
+    want = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)])
+    assert np.array_equal(_power_table(p, tuple(range(p))), want)
+    for e in (0, 1, p - 1):
+        assert np.array_equal(_power_table(p, (e,)), want[:, [e]])
+
+
 @st.composite
 def polynomials_and_points(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -397,6 +410,38 @@ def test_degree_index_examples():
     lo = PolynomialFactor(tuple(coord(2, 6, i) for i in range(1, 6)))
     hi = PolynomialFactor((Polynomial.from_monomials(2, 6, {(1, 1, 0, 0, 0, 0): 1}),))
     assert degree_index(lo) < degree_index(hi)  # (i1=5) < (i2=1) anti-lexicographically
+
+
+def _factor_of_degrees(degrees):
+    """A factor over F_2^6 whose polynomials have the given degrees (x_1 ... x_d)."""
+    return PolynomialFactor(tuple(
+        Polynomial.from_monomials(2, 6, {(1,) * d + (0,) * (6 - d): 1}) for d in degrees
+    ))
+
+
+def test_degree_index_order_on_every_pair_of_small_degree_multisets():
+    # the 70 multisets of at most four degrees in 0..3, all 4,900 pairs
+    pick = itertools.combinations_with_replacement
+    multisets = [ds for k in range(5) for ds in pick(range(4), k)]
+    indices = [DegreeIndex(tuple(sorted(Counter(ds).items()))) for ds in multisets]
+    for a, b in itertools.product(indices, repeat=2):
+        assert (a < b) == reference_degree_index_lt(a, b)
+        assert (a <= b) == (a == b or reference_degree_index_lt(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=7),
+    st.lists(st.integers(0, 6), max_size=7),
+)
+@example([2, 1, 1, 1, 1, 1], [2, 2])
+@example([1], [1, 0])
+def test_degree_index_order_is_the_anti_lexicographic_one(da, db):
+    a, b = (degree_index(_factor_of_degrees(ds)) for ds in (da, db))
+    assert a.counts == tuple(sorted(Counter(da).items()))
+    assert (a < b) == reference_degree_index_lt(a, b)
+    assert (a <= b) == (a == b or reference_degree_index_lt(a, b))
+    assert (a == b) == (sorted(da) == sorted(db))
 
 
 def test_bias_certificate_examples():
@@ -639,6 +684,7 @@ def test_represents_adversarial_concentration():
     vals = np.where((x2 == 0) & (x3 == 0), 2, 1)
     f = fixtures.random_function(2, 4, 2, seed=0).with_values(vals)
     assert not represents(f, fine, coarse, 0.2)
+    assert represents(f, fine, coarse, 1.0)  # zeta = 1 flags no more than every cell
 
 
 def test_pattern_probability_examples():
