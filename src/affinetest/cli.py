@@ -34,13 +34,13 @@ from .decompose import (
 from .factor import (
     bias_certificate,
     cell_histogram,
-    check_same_field,
     degree_index,
     load_factor,
     pattern_probability,
     save_factor,
 )
 from .field import (
+    ENUM_BUDGET,
     BudgetError,
     load_function_table,
     load_real_table,
@@ -49,6 +49,7 @@ from .field import (
 from .forms import (
     CellImage,
     InducedConstraint,
+    check_field,
     consistency_check,
     cs_complexity,
     dump_collection,
@@ -63,8 +64,6 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
-# enumeration budget of gowers, factor-stats, test and distance
-BUDGET = 1 << 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +117,7 @@ def cmd_gowers(args) -> int:
         f = load_function_table(args.function)
         table = f.indicator_slice(args.slice)
     res = gowers_norm(
-        table, args.k, mode=args.mode, budget=BUDGET, samples=args.samples, seed=args.seed,
+        table, args.k, mode=args.mode, budget=ENUM_BUDGET, samples=args.samples, seed=args.seed,
     )
     _emit(args, asdict(res), f"U^{args.k} = {res.value!r} (stderr {res.stderr!r}, {res.mode})")
     return EXIT_OK
@@ -135,7 +134,7 @@ def cmd_dimension(args) -> int:
 def cmd_consistency(args) -> int:
     ic = _first_constraint(args.constraints)
     factor, params = load_factor(args.factor)
-    check_same_field(ic.constraint, params)
+    check_field(ic.constraint, params, "a factor")
     cells = tuple(
         tuple(int(t) for t in chunk.split()) for chunk in args.images.split(",")
     )
@@ -149,7 +148,7 @@ def cmd_consistency(args) -> int:
 
 def cmd_factor_stats(args) -> int:
     factor, params = load_factor(args.factor)
-    hist = cell_histogram(factor, params, budget=BUDGET)
+    hist = cell_histogram(factor, params)
     cert = bias_certificate(factor, params, seed=args.seed)
     counts = sorted(hist.values())
     idx = degree_index(factor)
@@ -406,13 +405,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--ell", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=_positive_int, default=BUDGET)
+    sp.add_argument("--budget", type=_positive_int, default=ENUM_BUDGET)
 
     sp = add("distance", cmd_distance, help="exact distance to an enumerable property")
     sp.add_argument("--function", required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--tables", nargs="*", default=[])
-    sp.add_argument("--budget", type=_positive_int, default=BUDGET)
+    sp.add_argument("--budget", type=_positive_int, default=ENUM_BUDGET)
 
     sp = add("experiment", cmd_experiment, help="run the acceptance suite")
     sp.add_argument("--only", nargs="*", help="criterion numbers or names")

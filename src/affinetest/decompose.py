@@ -30,6 +30,7 @@ from .field import (
     RealTable,
     digit_index,
     load_real_table,
+    rng_for,
     save_real_table,
 )
 from .factor import (
@@ -39,6 +40,7 @@ from .factor import (
     cell_index_array,
     check_zeta,
     conditional_expectation,
+    dense_cell_count,
     density_index,
     dump_factor,
     label_frequencies,
@@ -429,15 +431,16 @@ def super_decompose(f: FunctionTable, cfg: DecompositionConfig) -> Decomposition
 
 
 def _subcell_frequencies(
-    f: FunctionTable, fine: PolynomialFactor, cc: int, s: tuple[int, ...]
+    f: FunctionTable, fine: PolynomialFactor, coarse: PolynomialFactor, s: tuple[int, ...]
 ) -> tuple[np.ndarray, ...]:
-    """Per point its coarse cell index (the fine cell index's first cc
-    digits) and whether it lies in subcell s; per coarse cell the point
-    counts of the cell and of its subcell s, and each label's frequency
-    [label - 1, cell] in both (0 where empty).  s must be a point of
-    F_p^(C' - cc), C' the fine factor's complexity."""
-    p, r, ncells = f.params.p, f.range_size, f.params.p**cc
-    sub = digit_index(s, FieldParams(p, fine.complexity - cc), "subcell")
+    """Per point its coarse cell index (the fine cell index's first C
+    digits, C the coarse factor's complexity) and whether it lies in
+    subcell s; per coarse cell the point counts of the cell and of its
+    subcell s, and each label's frequency [label - 1, cell] in both (0 where
+    empty).  s must be a point of F_p^(C' - C), C' the fine factor's
+    complexity."""
+    r, ncells = f.range_size, dense_cell_count(coarse, f.params)
+    sub = digit_index(s, FieldParams(f.params.p, fine.complexity - coarse.complexity), "subcell")
     fine_idx = cell_index_array(fine, f.params)
     coarse_idx = fine_idx % ncells
     in_sub = fine_idx // ncells == sub
@@ -464,7 +467,7 @@ def subcell_conditions(
     """
     check_zeta(zeta)
     coarse_idx, in_sub, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
-        f, result.factor_fine, result.factor_coarse.complexity, s
+        f, result.factor_fine, result.factor_coarse, s
     )
     ncells = len(cell_counts)
     delta_fn = as_schedule(delta, default_delta, "delta")
@@ -507,7 +510,7 @@ def select_subcell(
     if extra <= 0:
         raise ValueError("result has no proper refinement to select from")
     p = f.params.p
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    rng = rng_for(seed)
     for _ in range(max_attempts):
         s = tuple(int(v) for v in rng.integers(0, p, size=extra))
         ok_a, ok_b = subcell_conditions(f, result, s, delta, zeta)
@@ -648,7 +651,7 @@ def cleanup(
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
     coarse_idx, _, cell_counts, sub_counts, cell_frac, sub_frac = _subcell_frequencies(
-        f, fine, coarse.complexity, s
+        f, fine, coarse, s
     )
     occupied = cell_counts > 0
     if np.any(occupied & (sub_counts == 0)):

@@ -12,6 +12,9 @@ affine independence of the polynomials.
 The cells of B = (P_1, ..., P_C) are the canonical indices of F_p^C
 (`cell_space`), so a factor has at most 2^62 cells; `cell_histogram`, which
 enumerates domain and cells, is charged max(p^n, p^C) against its budget.
+Arrays with one entry per cell (conditional expectations, representation
+and subcell counts) take their length from `dense_cell_count`, which bounds
+them by max(p^n, ENUM_BUDGET) cells.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import (
+    ENUM_BUDGET,
     MAX_DOMAIN_BITS,
     BudgetError,
     FieldParams,
@@ -32,13 +36,20 @@ from .field import (
     RealTable,
     fourier_means,
     index_digits,
+    rng_for,
     unit_roots,
 )
-from .forms import AffineConstraint, CellImage, consistency_check, mixed_dimension, scan_grid
+from .forms import (
+    AffineConstraint,
+    CellImage,
+    check_field,
+    consistency_check,
+    mixed_dimension,
+    scan_grid,
+)
 from .poly import Polynomial
 
 DEFAULT_BIAS_BUDGET = 1 << 16
-DEFAULT_ENUM_BUDGET = 1 << 24
 # entries of one sampled bias scoring chunk (lambdas x occupied cells), and the
 # largest cell space whose spectrum a sampled certificate reads at p = 2
 BIAS_CHUNK = 1 << 22
@@ -105,6 +116,19 @@ def cell_space(factor: PolynomialFactor, params: FieldParams | None = None) -> F
         ) from None
 
 
+def dense_cell_count(factor: PolynomialFactor, params: FieldParams | None = None) -> int:
+    """p^C, the length of an array with one entry per cell of the factor;
+    past max(p^n, ENUM_BUDGET) cells it raises BudgetError instead, before
+    anything of that length is allocated."""
+    space = cell_space(factor, params)
+    bound = max(factor.params(params).size, ENUM_BUDGET)
+    if space.size > bound:
+        raise BudgetError(
+            f"per-cell array of p^C = {space.p}^{space.n} cells exceeds max(p^n, budget) = {bound}"
+        )
+    return space.size
+
+
 @lru_cache(maxsize=1024)
 def _cell_index_array(factor: PolynomialFactor, params: FieldParams) -> np.ndarray:
     """Flat little-endian cell index of every domain point."""
@@ -128,7 +152,7 @@ def eval_factor(factor: PolynomialFactor, x) -> tuple[int, ...]:
 def cell_histogram(
     factor: PolynomialFactor,
     params: FieldParams | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = ENUM_BUDGET,
 ) -> dict[tuple[int, ...], int]:
     """Exact point counts per cell image, by full enumeration of the domain
     and of the cell space, charged max(p^n, p^C) against the budget."""
@@ -149,7 +173,7 @@ def conditional_expectation(f: RealTable, factor: PolynomialFactor) -> RealTable
     """
     params = f.params
     idx = cell_index_array(factor, params)
-    ncells = cell_space(factor, params).size
+    ncells = dense_cell_count(factor, params)
     counts = np.bincount(idx, minlength=ncells)
     sums = np.bincount(idx, weights=f.values, minlength=ncells)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
@@ -231,8 +255,7 @@ def bias_certificate(
     total = space.size - 1
     if total <= budget:
         return BiasCertificate(_spectrum_max(factor, params, space, slice(1, None)), total, True)
-    rng = np.random.default_rng(seed)
-    lam_ids = rng.integers(1, space.size, size=budget, dtype=np.int64)
+    lam_ids = rng_for(seed).integers(1, space.size, size=budget, dtype=np.int64)
     if p == 2 and space.size <= min(BIAS_CHUNK, budget * params.size):
         return BiasCertificate(_spectrum_max(factor, params, space, lam_ids), len(lam_ids), False)
     # occupied cells only: p^C, past the spectrum's reach, can outgrow the domain
@@ -262,7 +285,7 @@ def is_semantic_refinement(
     fine: PolynomialFactor,
     coarse: PolynomialFactor,
     params: FieldParams | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = ENUM_BUDGET,
 ) -> bool:
     """Exhaustive check that fine-cell equality implies coarse-cell equality:
     no fine cell meets two coarse cells."""
@@ -318,9 +341,9 @@ def represents(
     if not fine.is_syntactic_refinement_of(coarse):
         raise ValueError("fine factor must syntactically refine the coarse one")
     r = f.range_size
-    n_coarse = cell_space(coarse, f.params).size
+    n_coarse = dense_cell_count(coarse, f.params)
     counts_f, freq_f = label_frequencies(
-        cell_index_array(fine, f.params), f.values, r, cell_space(fine, f.params).size
+        cell_index_array(fine, f.params), f.values, r, dense_cell_count(fine, f.params)
     )
     # [label, subcell id s, coarse cell]: a fine cell index is s * n_coarse + coarse cell
     cnt = counts_f.reshape(-1, n_coarse)
@@ -340,29 +363,19 @@ def represents(
     return flagged <= zeta * n_coarse
 
 
-def check_same_field(constraint: AffineConstraint, params: FieldParams) -> None:
-    """A constraint over F_q applies only to a factor over F_q^n."""
-    if constraint.p != params.p:
-        raise ValueError(
-            f"constraint over F_{constraint.p} does not apply to a factor over F_{params.p}^{params.n}"
-        )
-
-
 def pattern_count(
     factor: PolynomialFactor,
     constraint: AffineConstraint,
     images: CellImage,
     params: FieldParams | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = ENUM_BUDGET,
 ) -> tuple[int, int]:
     """Exact (#tuples with B(a_j(x)) = b_j for all j, #tuples) by enumeration."""
     params = factor.params(params)
-    check_same_field(constraint, params)
+    check_field(constraint, params, "a factor")
     targets = images.indices(constraint.size, cell_space(factor, params))
-    total = params.size**constraint.ell
-    if total > budget:
-        raise BudgetError("tuple grid exceeds enumeration budget")
-    return scan_grid(cell_index_array(factor, params), constraint, params, targets), total
+    count = scan_grid(cell_index_array(factor, params), constraint, params, targets, budget=budget)
+    return count, params.size**constraint.ell
 
 
 def pattern_probability(
@@ -371,7 +384,7 @@ def pattern_probability(
     images: CellImage,
     mode: str = "predicted",
     params: FieldParams | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = ENUM_BUDGET,
 ) -> float:
     """Probability that a random tuple lands in the given cells.
 
@@ -387,7 +400,7 @@ def pattern_probability(
     if mode != "predicted":
         raise ValueError(f"unknown mode {mode!r}")
     if factor.polys or params is not None:
-        check_same_field(constraint, factor.params(params))
+        check_field(constraint, factor.params(params), "a factor")
     degrees = factor.degree_list()
     if any(d < 1 for d in degrees):
         raise ValueError("predicted mode needs all polynomial degrees >= 1")

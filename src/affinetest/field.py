@@ -21,10 +21,20 @@ from pathlib import Path
 import numpy as np
 
 MAX_DOMAIN_BITS = 62
+# the one enumeration budget: tuple grids, domains and cell spaces walked at
+# once, and the bound on dense per-cell arrays past the domain's size
+ENUM_BUDGET = 1 << 24
 
 
 class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget."""
+
+
+def rng_for(seed: int, *scope: int) -> np.random.Generator:
+    """The seeded stream of `scope` under `seed`:
+    default_rng(SeedSequence((seed, *scope))), which for no scope is the
+    stream of default_rng(seed)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *scope)))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

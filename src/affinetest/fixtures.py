@@ -8,16 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldParams, FunctionTable, RealTable, index_digits, index_to_vec
+from .field import FieldParams, FunctionTable, RealTable, index_digits, index_to_vec, rng_for
 from .forms import AffineConstraint, ConstraintCollection, InducedConstraint
 from .factor import PolynomialFactor
 from .poly import Polynomial, monomials_up_to_degree
 from .tester import violation_density
 from . import gflinalg
-
-
-def rng_for(seed: int, *scope: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *scope)))
 
 
 def random_function(p: int, n: int, r: int, seed: int) -> FunctionTable:

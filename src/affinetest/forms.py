@@ -7,7 +7,10 @@ forbidden label pattern sigma in [R]^m.  This module also provides the
 Cauchy-Schwarz complexity of a form system, tensor powers and the
 (d_1, ..., d_C)-dimension, changes of view, the reduction of a constraint to
 at most m variables by one row reduction of its forms' X_2, ..., X_l
-coefficients, and the consistency predicate for tuples of cell images.
+coefficients, the consistency predicate for tuples of cell images, the
+check that a constraint shares the field of a table or factor, and the scans
+of tuple grids with their budget charge and the decoding of a flat grid
+index into its tuple.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import gflinalg
 from .field import (
+    ENUM_BUDGET,
     MAX_DOMAIN_BITS,
     BudgetError,
     FieldParams,
@@ -100,6 +104,14 @@ class AffineConstraint:
     @property
     def size(self) -> int:
         return len(self.forms)
+
+
+def check_field(constraint: AffineConstraint, params: FieldParams, what: str) -> None:
+    """A constraint over F_q applies only to `what` (a table, a factor) over
+    F_q^n; otherwise ValueError."""
+    if constraint.p != params.p:
+        over = f"F_{params.p}^{params.n}"
+        raise ValueError(f"constraint over F_{constraint.p} does not apply to {what} over {over}")
 
 
 @dataclass(frozen=True)
@@ -531,8 +543,20 @@ def _pad(a: np.ndarray, ndim: int) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
+def grid_tuples(flats, ell: int, params: FieldParams) -> np.ndarray:
+    """Points (..., l, n) of the tuples at flat grid indices `flats` (shape
+    (...)): a flat index read as a point of F_p^(n l) has the digits of x_l
+    first, so x_1 is the most significant slot, as grid_slices lays it."""
+    digits = index_digits(flats, FieldParams(params.p, params.n * ell))
+    return digits.reshape(digits.shape[:-1] + (ell, params.n))[..., ::-1, :]
+
+
 def grid_slices(
-    tables: Sequence[np.ndarray], forms: Sequence[LinearForm], params: FieldParams, op
+    tables: Sequence[np.ndarray],
+    forms: Sequence[LinearForm],
+    params: FieldParams,
+    op,
+    budget: int,
 ) -> Iterator[tuple[int, tuple[int, ...], np.ndarray]]:
     """op(v_1, ..., v_m) over the tuple grid of `forms`, v_j the view of
     tables[j] at a_j(x): yields (offset, shape, result) per piece, the whole
@@ -540,7 +564,8 @@ def grid_slices(
     tuples, else one x_1 slice of shape (1,) + (p^n,)*(l-1) at a time,
     offset being the flat index (C order, x_1 most significant) of its
     first tuple.  The result broadcasts to `shape` but may have length 1
-    on an axis that no form reads.
+    on an axis that no form reads.  A grid of more than `budget` tuples
+    raises BudgetError before any view is built.
 
     A view reads its table directly.  With x_k the last variable of a_j,
     a_j = prefix + c_k x_k, and the view is T[prefix] for the p^n x p^n
@@ -557,6 +582,8 @@ def grid_slices(
     """
     size = params.size
     step = size ** (forms[0].ell - 1)
+    if size * step > budget:
+        raise BudgetError(f"tuple grid {size * step} exceeds budget {budget}")
     sliced = size * step > GRID_CHUNK
     views = _FormViews(tables, forms, params, step if sliced else size * step)
     shape = (1 if sliced else size,) + (size,) * (forms[0].ell - 1)
@@ -577,20 +604,22 @@ def scan_grid(
     params: FieldParams,
     targets: Sequence[int],
     first: bool = False,
+    budget: int = ENUM_BUDGET,
 ) -> int | None:
     """Scan the tuple grid of `constraint` over `params` for tuples x with
     values[a_j(x)] == targets[j] for every form a_j.
 
     Returns the flat index of the first match in lexicographic order (x_1
-    most significant), or None, when `first`; otherwise the number of
-    matches.  Each form reads the one-byte mask values == targets[j]
-    through grid_slices, and the masks are ANDed, whole or one x_1 slice at
-    a time, so a scan holds about two bytes per tuple of the grid or slice.
+    most significant; grid_tuples decodes it), or None, when `first`;
+    otherwise the number of matches.  Each form reads the one-byte mask
+    values == targets[j] through grid_slices, which charges the grid
+    against `budget`, and the masks are ANDed, whole or one x_1 slice at a
+    time, so a scan holds about two bytes per tuple of the grid or slice.
     """
     masks = {t: values == t for t in set(targets)}
     count = 0
     for offset, shape, ok in grid_slices(
-        [masks[t] for t in targets], constraint.forms, params, np.bitwise_and
+        [masks[t] for t in targets], constraint.forms, params, np.bitwise_and, budget
     ):
         if first:
             ok = np.broadcast_to(ok, shape)

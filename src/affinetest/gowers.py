@@ -20,12 +20,14 @@ above U^2), so a charge by the transform's work would bound its time but
 not its memory.  No charge exceeds the p^(n(k+1)) tuples, so any call whose
 tuple space fits the budget is exact.  Monte-Carlo mode samples
 tuples (x, h_1, ..., h_k) from MC_STREAMS fixed logical RNG streams, so
-results are reproducible for a given seed.  The draws are canonical indices,
-and one field.combination_indices call per stream turns them into the index
-of x + sum_{i in S} h_i for all 2^k subsets S at once, with no coordinate
-array: at p = 2 by XOR of the drawn indices, at p >= 3 one radix-p digit
-per pass.  system_product_mean sums over the grid of its rank-reduced forms
-as forms.grid_slices hands it out, whole or one x_1 slice at a time: each
+results are reproducible for a given seed; it is charged the largest array
+one stream holds, max(ceil(samples / MC_STREAMS), k + 1) * 2^k entries.
+The draws are canonical indices, and one field.combination_indices call
+per stream turns them into the index of x + sum_{i in S} h_i for all 2^k
+subsets S at once, with no coordinate array: at p = 2 by XOR of the drawn
+indices, at p >= 3 one radix-p digit per pass.  system_product_mean sums
+over the grid of its rank-reduced forms as forms.grid_slices hands it out,
+charged against its budget, whole or one x_1 slice at a time: each
 form's table is read as an array that broadcasts over the grid, gathered by
 rows of a p^n x p^n row table (never larger than the grid or slice), so
 the per-tuple arrays are the running float product and the one view being
@@ -50,6 +52,7 @@ from .field import (
     fourier_means,
     index_digits,
     index_to_vec,
+    rng_for,
     unit_roots,
 )
 from .forms import LinearForm, grid_slices
@@ -127,7 +130,9 @@ def gowers_norm_values(
     budget.  That charge is at most the p^(n(k+1)) tuples the norm averages
     over (for k <= 2, n <= p^n), so every table whose whole tuple space fits
     the budget is exact.  An exact result still reports samples =
-    p^(n(k+1)), the number of tuples averaged.
+    p^(n(k+1)), the number of tuples averaged.  Monte-Carlo mode raises
+    BudgetError when the largest array of one stream, its draws by the 2^k
+    subset sums (or the (2^k, k + 1) subset table), exceeds budget.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,6 +146,9 @@ def gowers_norm_values(
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    charge = max(-(-samples // MC_STREAMS), k + 1) << k
+    if charge > budget:
+        raise BudgetError(f"Monte-Carlo U^{k} is charged {charge} > budget {budget}")
     return _gowers_monte_carlo(values, params, k, samples, seed)
 
 
@@ -158,8 +166,7 @@ def _gowers_monte_carlo(
     for worker, count in enumerate(per):
         if count == 0:
             continue
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, worker)))
-        draws = rng.integers(0, params.size, size=(k + 1, count), dtype=np.int64)
+        draws = rng_for(seed, worker).integers(0, params.size, size=(k + 1, count), dtype=np.int64)
         terms = values[combination_indices(draws.T, combos, params)]
         prod = np.ones(count, dtype=values.dtype)
         for mask, conj in enumerate(conjugate):
@@ -321,12 +328,11 @@ def system_product_mean(
         for t in tables:
             out *= float(t.values.mean())
         return out
-    size = params.size
-    if size**r > budget:
-        raise BudgetError("reduced grid exceeds enumeration budget")
     # form j over the r grid variables is column j of the rref basis (e_a at pivot a)
     reduced = [LinearForm(p, tuple(col)) for col in basis.T]
     total = 0.0
-    for _, shape, prod in grid_slices([t.values for t in tables], reduced, params, np.multiply):
+    for _, shape, prod in grid_slices(
+        [t.values for t in tables], reduced, params, np.multiply, budget
+    ):
         total += float(np.broadcast_to(prod, shape).ravel().sum())
-    return total / size**r
+    return total / params.size**r

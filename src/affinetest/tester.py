@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import (
-    BudgetError,
+    ENUM_BUDGET,
     FieldParams,
     FunctionTable,
     affine_span_indices,
@@ -40,6 +40,7 @@ from .field import (
     disagreement_count,
     fourier_means,
     index_digits,
+    rng_for,
     unit_roots,
 )
 from .factor import PolynomialFactor, cell_index_array, cell_space
@@ -47,15 +48,16 @@ from .forms import (
     AffineConstraint,
     ConstraintCollection,
     InducedConstraint,
+    check_field,
     eval_form,
     grid_point_indices,
+    grid_tuples,
     make_concise_collection,
     scan_grid,
     tensor_row_space,
 )
 from . import forms, gflinalg, gowers
 
-DEFAULT_TUPLE_BUDGET = 1 << 24
 DEFAULT_NODE_BUDGET = 1 << 20
 SEARCH_BLOCK = 1 << 10  # tuples drawn and checked at once by the randomized search
 DRAW_SLICE = 1 << 12  # tester trials whose sample points are drawn at once
@@ -73,13 +75,6 @@ class Witness:
     make_witness so the evaluation is re-verified."""
 
     points: tuple[tuple[int, ...], ...]
-
-
-def _check_field(f: FunctionTable, constraint: AffineConstraint) -> None:
-    if constraint.p != f.params.p:
-        raise ValueError(
-            f"constraint over F_{constraint.p} does not apply to a table over F_{f.params.p}"
-        )
 
 
 def make_witness(f: FunctionTable, ic: InducedConstraint, points) -> Witness:
@@ -116,18 +111,11 @@ class TestReport:
         return {**vars(self), "witness": witness}  # asdict would deep-copy the witness
 
 
-def _grid_tuples(flats: np.ndarray, ell: int, params: FieldParams) -> np.ndarray:
-    """Points (k, l, n) of the tuples at flat grid indices `flats`; grids lay
-    x_1 on the most significant axis."""
-    place = params.size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    return index_digits(flats[:, None] // place % params.size, params)
-
-
 def find_induced_occurrence(
     f: FunctionTable,
     ic: InducedConstraint,
     mode: str = "exhaustive",
-    budget: int = DEFAULT_TUPLE_BUDGET,
+    budget: int = ENUM_BUDGET,
     seed: int = 0,
 ) -> SearchOutcome:
     """Find points where f induces (A, sigma), or certify there are none.
@@ -140,25 +128,21 @@ def find_induced_occurrence(
     """
     params = f.params
     a = ic.constraint
-    _check_field(f, a)
+    check_field(a, params, "a table")
     if any(s > f.range_size for s in ic.sigma):
         raise ValueError("sigma labels exceed the table's range")
     attained = set(int(v) for v in np.unique(f.values))
     if any(s not in attained for s in ic.sigma):
         return SearchOutcome(None, True)
     ell = a.ell
-    total = params.size**ell
     if mode == "exhaustive":
-        if total > budget:
-            raise BudgetError(f"tuple grid {total} exceeds budget {budget}")
-        flat = scan_grid(f.values, a, params, ic.sigma, first=True)
+        flat = scan_grid(f.values, a, params, ic.sigma, first=True, budget=budget)
         if flat is None:
             return SearchOutcome(None, True)
-        points = _grid_tuples(np.array([flat]), ell, params)[0].tolist()
-        return SearchOutcome(make_witness(f, ic, points), True)
+        return SearchOutcome(make_witness(f, ic, grid_tuples(flat, ell, params).tolist()), True)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    rng = rng_for(seed)
     coeffs = [form.coeffs for form in a.forms]
     for start in range(0, budget, SEARCH_BLOCK):
         # one draw per block continues the stream of one draw per tuple
@@ -171,20 +155,17 @@ def find_induced_occurrence(
 
 
 def violation_count(
-    f: FunctionTable, ic: InducedConstraint, budget: int = DEFAULT_TUPLE_BUDGET
+    f: FunctionTable, ic: InducedConstraint, budget: int = ENUM_BUDGET
 ) -> tuple[int, int]:
     """(#tuples inducing (A, sigma), #tuples), exact by enumeration."""
     params = f.params
     a = ic.constraint
-    _check_field(f, a)
-    total = params.size**a.ell
-    if total > budget:
-        raise BudgetError(f"tuple grid {total} exceeds budget {budget}")
-    return scan_grid(f.values, a, params, ic.sigma), total
+    check_field(a, params, "a table")
+    return scan_grid(f.values, a, params, ic.sigma, budget=budget), params.size**a.ell
 
 
 def violation_density(
-    f: FunctionTable, ic: InducedConstraint, budget: int = DEFAULT_TUPLE_BUDGET
+    f: FunctionTable, ic: InducedConstraint, budget: int = ENUM_BUDGET
 ) -> float:
     c, t = violation_count(f, ic, budget)
     return c / t
@@ -267,7 +248,7 @@ class _GridCheck:
     def lift(self, samples: np.ndarray, flats: np.ndarray) -> np.ndarray:
         """Domain points (k, l_a, n) of the grid tuples `flats` found in the
         restrictions of `samples` (k, l, n)."""
-        return _lift(samples, _grid_tuples(flats, self.constraint.ell, self.sub), self.sub.p)
+        return _lift(samples, grid_tuples(flats, self.constraint.ell, self.sub), self.sub.p)
 
     def verify(self, f: FunctionTable, lifted: np.ndarray, positions: np.ndarray) -> None:
         """Raise unless f(a_j(y)) = sigma_j for every lifted tuple y and form
@@ -380,8 +361,7 @@ def _trial_draws(seed: int, start: int, stop: int, size: int, ell: int) -> np.nd
             rejected = (m & np.uint64(_M32) < np.uint64(threshold)).any(axis=1)
             redo = np.flatnonzero(rejected).tolist() + redo
     for i in redo:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, start + i)))
-        draws[i] = rng.integers(0, size, size=ell)
+        draws[i] = rng_for(seed, start + i).integers(0, size, size=ell)
     return draws
 
 
@@ -401,7 +381,7 @@ def affine_subspace_test(
     ell_test: int | None = None,
     trials: int = 1000,
     seed: int = 0,
-    budget: int = DEFAULT_TUPLE_BUDGET,
+    budget: int = ENUM_BUDGET,
 ) -> TestReport:
     """One-sided subspace tester: restrict f to random affine spans and search
     the restrictions exhaustively for induced constraints.
@@ -431,21 +411,21 @@ def affine_subspace_test(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    for ic in collection.members:
-        _check_field(f, ic.constraint)
     collection = make_concise_collection(collection)
+    members = collection.members
+    # members sharing a constraint share its field check, grid and automaton
+    positions: dict[AffineConstraint, list[int]] = {}
+    for i, ic in enumerate(members):
+        positions.setdefault(ic.constraint, []).append(i)
+    for a in positions:
+        check_field(a, params, "a table")
     if len(collection) == 0:
         return TestReport("accept", trials, 0, None, seed, 0.0, 0.0, 0)
     ell = ell_test if ell_test is not None else collection.max_ell()
     if ell < collection.max_ell():
         raise ValueError("ell_test below the collection's variable count")
     sub = FieldParams(p, ell - 1)
-    members = collection.members
     none = len(members)
-    # members sharing a constraint share its grid and automaton
-    positions: dict[AffineConstraint, list[int]] = {}
-    for i, ic in enumerate(members):
-        positions.setdefault(ic.constraint, []).append(i)
     checks = [
         _GridCheck(a, pos, members, sub, f.range_size, budget) for a, pos in positions.items()
     ]

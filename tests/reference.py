@@ -6,12 +6,14 @@ polynomial values with the coset transform it checks; the conciseness oracle
 is the kernel-completion construction that make_concise's row reduction
 reproduces; the refinement and sampled-bias oracles are the library's
 earlier implementations, an argsort with run-length scan and a per-digit
-lambda loop.  The small helpers at the end serve only the tests."""
+lambda loop; the grid-tuple decoder is the tester's earlier one, which
+reads each tuple slot off the flat index by its place value.  The small
+helpers at the end serve only the tests."""
 import numpy as np
 
 from affinetest import forms, gflinalg
 from affinetest.factor import cell_index_array
-from affinetest.field import BudgetError, FieldParams, index_to_vec, unit_roots
+from affinetest.field import BudgetError, FieldParams, index_digits, index_to_vec, unit_roots
 from affinetest.forms import AffineConstraint, InducedConstraint, change_of_view
 from affinetest.poly import Polynomial, monomials_up_to_degree
 
@@ -182,6 +184,13 @@ def reference_sampled_max_bias(factor, params, budget, seed):
         sums = roots[combo] @ weights
         max_bias = max(max_bias, float(np.abs(sums).max() / params.size))
     return max_bias
+
+
+def reference_grid_tuples(flats, ell, params):
+    """Points (k, l, n) of the tuples at flat grid indices `flats`; grids lay
+    x_1 on the most significant axis."""
+    place = params.size ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    return index_digits(flats[:, None] // place % params.size, params)
 
 
 def cell_of_index(flat, factor):

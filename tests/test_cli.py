@@ -235,6 +235,31 @@ def test_factor_stats_budget_counts_cells(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget error:")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("gowers", "Monte-Carlo U^40 is charged 3435973836800000 > budget 16777216"),
+    ("decompose", "per-cell array of p^C = 3^30 cells exceeds max(p^n, budget) = 16777216"),
+    ("cleanup", "per-cell array of p^C = 3^30 cells exceeds max(p^n, budget) = 16777216"),
+])
+def test_unbounded_arrays_are_budget_errors(tmp_path, capsys, command, message):
+    # each once died allocating TiB to PiB (exit 1); now nothing of that
+    # size is allocated: U^40 by sampling, and 30 copies of x_1 over F_3^4,
+    # whose 3^30 cells dwarf the 81-point domain
+    g, f3, wide = tmp_path / "g.tab", tmp_path / "f3.tab", tmp_path / "wide.fac"
+    assert main(["fixture", "random_function", "--n", "4", "--out", str(g)]) == 0
+    assert main(["fixture", "random_function", "--p", "3", "--n", "4", "--out", str(f3)]) == 0
+    wide.write_text("3 4 30\n" + "1 1 1 0 0 0\n" * 30)
+    argv = {
+        "gowers": ["gowers", "--function", str(g), "-k", "40", "--mode", "monte_carlo"],
+        "decompose": ["decompose", "--function", str(f3), "--degree", "1", "--base", str(wide),
+                      "--out", str(tmp_path / "dec")],
+        "cleanup": ["cleanup", "--function", str(f3), "--coarse", str(wide), "--fine", str(wide),
+                    "--subcell", "", "--zeta", "0.1", "--out", str(tmp_path / "clean.tab")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"budget error: {message}\n")
+
+
 @pytest.mark.parametrize("knob, value", [
     ("--eta", "nan"), ("--delta", "inf"), ("--eta", "-1"), ("--delta", "-0.25"),
 ])
@@ -366,8 +391,9 @@ def test_test_field_mismatch_is_usage_error(tmp_path, capsys, table_p, family_p)
     code = main(["test", "--constraints", str(family), "--function", str(func),
                  "--trials", "20", "--seed", "1"])
     assert code == 64
-    err = capsys.readouterr().err
-    assert f"F_{family_p}" in err and f"F_{table_p}" in err
+    assert capsys.readouterr().err == (
+        f"error: constraint over F_{family_p} does not apply to a table over F_{table_p}^3\n"
+    )
 
 
 @pytest.mark.parametrize("extra", [

@@ -25,6 +25,7 @@ from affinetest import (
     super_decompose,
 )
 from affinetest import decompose
+from affinetest import factor as factor_module
 from affinetest.decompose import DecompositionResult, load_result, save_result
 from affinetest.field import BudgetError
 from affinetest.factor import PolynomialFactor, bias_certificate
@@ -340,6 +341,37 @@ def test_select_subcell_requires_proper_refinement():
     assert res.factor_fine.complexity == res.factor_coarse.complexity
     with pytest.raises(ValueError):
         select_subcell(f, res, 0.4, 0.2)
+
+
+@pytest.mark.parametrize("budget, bound", [(16, 16), (4, 8)])  # max(p^n, budget), p^n = 8
+def test_subcell_counts_are_bounded_by_domain_or_budget(monkeypatch, budget, bound):
+    # coarse factors of 2^c = bound cells fit, one polynomial more does not;
+    # a zero polynomial past the coarse factor makes subcell (0,) the whole cell
+    f = fixtures.random_function(2, 3, 2, seed=1)
+    c = bound.bit_length() - 1
+    fits = fixtures.random_factor(2, 3, c, 1, seed=0)
+    wide = fits.extend(coord(2, 3, 1))
+    zero = Polynomial.zero(2, 3)
+    base = super_decompose(f, DecompositionConfig(degree=1, delta=0.3, zeta=0.25))
+
+    def run(coarse):
+        res = replace(base, factor_coarse=coarse, factor_fine=coarse.extend(zero))
+        return (subcell_conditions(f, res, (0,), 0.3, 0.25),
+                select_subcell(f, res, 0.3, 0.25),
+                cleanup(f, coarse, coarse.extend(zero), (0,), 0.25).values.tolist())
+
+    want = run(fits)
+    monkeypatch.setattr(factor_module, "ENUM_BUDGET", budget)
+    assert run(fits) == want
+    res = replace(base, factor_coarse=wide, factor_fine=wide.extend(zero))
+    message = rf"^per-cell array of p\^C = 2\^{c + 1} cells exceeds max\(p\^n, budget\) = {bound}$"
+    for call in (
+        lambda: subcell_conditions(f, res, (0,), 0.3, 0.25),
+        lambda: select_subcell(f, res, 0.3, 0.25),
+        lambda: cleanup(f, wide, wide.extend(zero), (0,), 0.25),
+    ):
+        with pytest.raises(BudgetError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("s", [(), (0, 0)], ids=["short", "long"])

@@ -25,6 +25,7 @@ from affinetest.field import (
     is_prime,
     parse_function_table,
     parse_real_table,
+    rng_for,
     RealTable,
 )
 from affinetest import fixtures
@@ -52,6 +53,19 @@ def test_field_params_validation():
         FieldParams(1, 2)
     with pytest.raises(ValueError):
         FieldParams(2, 99)  # overflows the index type
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**70 + 5])
+def test_rng_for_is_the_seed_sequence_stream(seed):
+    # no scope: the stream of default_rng(seed) itself
+    def draws(rng):
+        return rng.integers(0, 1 << 62, size=50).tolist()
+
+    assert draws(rng_for(seed)) == draws(np.random.default_rng(seed))
+    for scope in [(0,), (3,), (0xF, 2**33)]:
+        want = np.random.default_rng(np.random.SeedSequence(entropy=(seed, *scope)))
+        assert draws(rng_for(seed, *scope)) == draws(want)
+    assert draws(rng_for(seed, 1)) != draws(rng_for(seed, 2))
 
 
 def test_e_p_examples():

@@ -23,21 +23,28 @@ from affinetest import (
     mixed_dimension,
     tensor_power,
 )
+from affinetest.factor import pattern_count
 from affinetest.field import BudgetError, index_to_vec
 from affinetest.forms import (
     ConstraintCollection,
+    check_field,
     dump_collection,
     dump_induced_constraint,
     grid_point_indices,
+    grid_slices,
+    grid_tuples,
     parse_collection,
     scan_grid,
     tensor_row_space,
 )
+from affinetest.gowers import system_product_mean
+from affinetest.tester import violation_count
 from affinetest import fixtures, forms, gflinalg
 from reference import (
     kernel_basis,
     parse_induced_constraint,
     reference_grid_point_indices,
+    reference_grid_tuples,
     reference_make_concise,
     reference_matches,
 )
@@ -445,6 +452,89 @@ def test_scan_grid_matches_index_grid_scan(case):
     with mock.patch.object(forms, "GRID_CHUNK", chunk):
         got = [scan_grid(values, a, params, sigma, first=first) for first in (False, True)]
     assert got == want
+
+
+@st.composite
+def grid_index_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 3))
+    ell = draw(st.integers(1, 4))
+    params = FieldParams(p, n)
+    last = params.size**ell - 1
+    flats = draw(st.lists(st.integers(0, last), max_size=20), label="flats") + [last]
+    return np.array(flats, dtype=np.int64), ell, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_index_cases())
+def test_grid_tuples_matches_place_value_decoding(case):
+    flats, ell, params = case
+    got = grid_tuples(flats, ell, params)
+    assert got.shape == (len(flats), ell, params.n)
+    assert np.array_equal(got, reference_grid_tuples(flats, ell, params))
+
+
+@pytest.mark.parametrize("p, n, ell", [(2, 2, 3), (3, 1, 4), (5, 1, 2)])
+def test_grid_slices_offsets_decode_to_slice_starts(monkeypatch, p, n, ell):
+    # the x_1 slice walk: each piece's offset is its first tuple (x_1, 0, ..., 0)
+    params = FieldParams(p, n)
+    a = AffineConstraint.from_rows(p, [(1,) + (0,) * (ell - 1), (1,) * ell])
+    tables = [np.ones(params.size)] * 2
+    monkeypatch.setattr(forms, "GRID_CHUNK", params.size)
+    offsets = [off for off, _, _ in grid_slices(tables, a.forms, params, np.multiply, 1 << 20)]
+    assert len(offsets) == params.size
+    for x1, off in enumerate(offsets):
+        want = [list(index_to_vec(x1, params))] + [[0] * n] * (ell - 1)
+        assert grid_tuples(off, ell, params).tolist() == want
+
+
+def _budget_cases():
+    """Each tuple-grid scan on one 729-tuple grid (p = 3, n = 2, l = 3), as a
+    call taking the budget, with the value it returns within budget."""
+    f = fixtures.random_function(3, 2, 2, seed=3)
+    ic = fixtures.blr_constraint(3, (1, 2, 2, 1))
+    a = ic.constraint
+    fac = fixtures.linear_factor(3, 2, 1, seed=5)
+    images = CellImage(((0,), (1,), (2,), (0,)))
+    tables = [fixtures.random_real_table(3, 2, seed=i) for i in range(4)]
+    return {
+        "scan_grid": (lambda b: scan_grid(f.values, a, f.params, ic.sigma, budget=b), 8),
+        "find_induced_occurrence": (
+            lambda b: find_induced_occurrence(f, ic, budget=b).witness.points,
+            ((1, 0), (2, 0), (2, 0)),
+        ),
+        "violation_count": (lambda b: violation_count(f, ic, budget=b), (8, 729)),
+        "pattern_count": (lambda b: pattern_count(fac, a, images, budget=b), (27, 729)),
+        # 4 forms of rank 3: the reduced grid has 9^3 tuples
+        "system_product_mean": (
+            lambda b: system_product_mean(tables, a.forms, budget=b), 0.002404052492074024
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_budget_cases()))
+def test_tuple_grid_budget_is_charged_by_grid_slices(name):
+    call, want = _budget_cases()[name]
+    with pytest.raises(BudgetError, match=r"^tuple grid \d+ exceeds budget 728$"):
+        call(728)
+    assert call(729) == want
+
+
+def test_unattained_sigma_returns_before_the_budget_charge():
+    f = fixtures.random_function(2, 3, 2, seed=1)
+    g = FunctionTable(f.params, 3, f.values)  # label 3 never attained
+    out = find_induced_occurrence(g, fixtures.blr_constraint(2, (1, 1, 1, 3)), budget=0)
+    assert out.definitive and out.witness is None
+
+
+def test_field_check_names_a_table_or_a_factor():
+    a = fixtures.derivative_forms(3)
+    params = FieldParams(2, 5)
+    for what in ("a table", "a factor"):
+        with pytest.raises(ValueError) as err:
+            check_field(a, params, what)
+        assert str(err.value) == f"constraint over F_3 does not apply to {what} over F_2^5"
+    check_field(a, FieldParams(3, 5), "a table")
 
 
 def test_scan_grid_holds_less_than_one_index_array():

@@ -18,7 +18,7 @@ from affinetest import (
     polynomial_bias,
     system_product_mean,
 )
-from affinetest.field import BudgetError, fourier_means, index_to_vec
+from affinetest.field import ENUM_BUDGET, BudgetError, fourier_means, index_to_vec
 from affinetest.gowers import (
     DEFAULT_EXACT_BUDGET,
     MC_STREAMS,
@@ -165,6 +165,32 @@ def test_monte_carlo_calibration():
         assert mc.stderr > 0
         hits += abs(mc.value - exact) <= 4 * mc.stderr
     assert hits >= 27
+
+
+@pytest.mark.parametrize("samples, k, charge", [
+    (100, 3, 7 * 2**3),  # ceil(100 / MC_STREAMS) = 7 draws per stream
+    (16, 3, 4 * 2**3),  # one draw per stream: the (2^k, k + 1) subset table binds
+    (1, 1, 2 * 2**1),
+])
+def test_monte_carlo_is_charged_its_largest_stream_array(samples, k, charge):
+    t = fixtures.random_real_table(2, 3, seed=1)
+    message = rf"^Monte-Carlo U\^{k} is charged {charge} > budget {charge - 1}$"
+    with pytest.raises(BudgetError, match=message):
+        gowers_norm(t, k, mode="monte_carlo", samples=samples, budget=charge - 1, seed=2)
+    got = gowers_norm(t, k, mode="monte_carlo", samples=samples, budget=charge, seed=2)
+    assert got == gowers_norm(t, k, mode="monte_carlo", samples=samples, seed=2)
+
+
+def test_monte_carlo_budgets_reach_k_12_and_14_at_default_samples(monkeypatch):
+    # 3125 draws per stream times 2^k: k <= 12 within the CLI's 2^24 budget,
+    # k <= 14 within the library default; nothing past them is allocated
+    monkeypatch.setattr(gowers_module, "_gowers_monte_carlo", lambda *args: "sampled")
+    values, params = np.ones(16), FieldParams(2, 4)
+    for budget, top in ((ENUM_BUDGET, 12), (DEFAULT_EXACT_BUDGET, 14)):
+        assert gowers_norm_values(values, params, top, "monte_carlo", budget) == "sampled"
+        for k in (top + 1, 40):
+            with pytest.raises(BudgetError, match=f"Monte-Carlo U\\^{k} is charged"):
+                gowers_norm_values(values, params, k, "monte_carlo", budget)
 
 
 def test_monte_carlo_deterministic_given_seed():

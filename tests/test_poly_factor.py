@@ -351,6 +351,25 @@ def test_cell_histogram_charges_the_cell_space():
         cell_histogram(small, budget=31)
 
 
+@pytest.mark.parametrize("budget, bound", [(16, 16), (4, 8)])  # max(p^n, budget), p^n = 8
+def test_per_cell_arrays_are_bounded_by_domain_or_budget(monkeypatch, budget, bound):
+    f = fixtures.random_function(2, 3, 2, seed=1)
+    c = bound.bit_length() - 1  # 2^c = bound cells fit, one polynomial more does not
+    fits = fixtures.random_factor(2, 3, c, 1, seed=0)
+    coarse = PolynomialFactor(fits.polys[:1])
+    wide = fits.extend(coord(2, 3, 1))
+    want = (conditional_expectation(f.indicator_slice(1), fits).values.tolist(),
+            represents(f, fits, coarse, 0.5))
+    monkeypatch.setattr(factor_module, "ENUM_BUDGET", budget)
+    assert (conditional_expectation(f.indicator_slice(1), fits).values.tolist(),
+            represents(f, fits, coarse, 0.5)) == want
+    message = rf"^per-cell array of p\^C = 2\^{c + 1} cells exceeds max\(p\^n, budget\) = {bound}$"
+    with pytest.raises(BudgetError, match=message):
+        conditional_expectation(f.indicator_slice(1), wide)
+    with pytest.raises(BudgetError, match=message):
+        represents(f, wide, coarse, 0.5)
+
+
 def test_conditional_expectation_examples():
     f = fixtures.random_function(3, 2, 2, seed=5).indicator_slice(1)
     ce = conditional_expectation(f, PolynomialFactor.trivial())
@@ -524,6 +543,17 @@ def test_sampled_bias_equals_the_digit_loop_scoring(p, c):
         cert = bias_certificate(factor, budget=300, seed=seed)
         assert not cert.exhaustive
         assert cert.max_bias == reference_sampled_max_bias(factor, factor.params(), 300, seed)
+
+
+@pytest.mark.parametrize("p, n, c", [(2, 6, 10), (3, 4, 6)])
+def test_sampled_bias_reads_the_lambdas_of_default_rng_seed(p, n, c):
+    # three lambdas per sample: the maximum differs from seed to seed, so it
+    # pins the stream, that of default_rng(seed) at large seeds too
+    factor = fixtures.random_factor(p, n, c, 2, seed=1)
+    seeds = (0, 1, 7, 2**40 + 3, 2**70 + 5)
+    got = [bias_certificate(factor, budget=3, seed=seed).max_bias for seed in seeds]
+    assert got == [reference_sampled_max_bias(factor, factor.params(), 3, seed) for seed in seeds]
+    assert len(set(got)) > 1
 
 
 def sampled_bias_and_route(factor, budget, seed):

@@ -597,6 +597,23 @@ def test_field_mismatch_raises():
                 call()
 
 
+def test_table_field_check_wording_once_per_distinct_constraint():
+    f = fixtures.degree_d_table(3, 3, 1, seed=1)
+    family = fixtures.derivative_collection(2)  # 8 members, one constraint
+    message = r"^constraint over F_2 does not apply to a table over F_3\^3$"
+    for call in (
+        lambda: affine_subspace_test(f, family, trials=5),
+        lambda: find_induced_occurrence(f, family.members[0]),
+        lambda: violation_count(f, family.members[0]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    g = fixtures.degree_d_table(2, 3, 1, seed=1)
+    with mock.patch.object(tester, "check_field", wraps=tester.check_field) as spy:
+        assert affine_subspace_test(g, family, trials=5).verdict == "accept"
+    assert spy.call_count == 1
+
+
 def test_negative_trials_raise():
     f = fixtures.random_function(2, 3, 2, seed=1)
     with pytest.raises(ValueError, match="trials"):
