@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
@@ -439,7 +440,8 @@ def _subcell_frequencies(
     subcell s, and each label's frequency [label - 1, cell] in both (0 where
     empty).  s must be a point of F_p^(C' - C), C' the fine factor's
     complexity."""
-    r, ncells = f.range_size, dense_cell_count(coarse, f.params)
+    r = f.range_size
+    ncells = dense_cell_count(coarse, f.params, r)
     sub = digit_index(s, FieldParams(f.params.p, fine.complexity - coarse.complexity), "subcell")
     fine_idx = cell_index_array(fine, f.params)
     coarse_idx = fine_idx % ncells
@@ -600,9 +602,16 @@ def _fields(doc, types: dict, what: str) -> dict:
     return doc
 
 
+@cache
+def _field_types(cls) -> dict:
+    """The record class's field annotations, resolved once: each
+    get_type_hints call compiles the string annotations again."""
+    return get_type_hints(cls)
+
+
 def _record(cls, doc, what: str):
     """The dataclass cls built by keyword from a JSON object of its fields."""
-    return cls(**_fields(doc, get_type_hints(cls), what))
+    return cls(**_fields(doc, _field_types(cls), what))
 
 
 def load_result(out_dir) -> DecompositionResult:
@@ -614,7 +623,7 @@ def load_result(out_dir) -> DecompositionResult:
     coarse, _ = parse_factor(doc["factor_coarse"])
     fine, _ = parse_factor(doc["factor_fine"])
     tables = _fields(doc["tables"], _TABLES, "summary.json tables")
-    c = _fields(doc["certificates"], get_type_hints(Certificates), "certificates")
+    c = _fields(doc["certificates"], _field_types(Certificates), "certificates")
     certs = Certificates(**{
         **c,
         "gowers": tuple(_record(GowersResult, g, "gowers certificate") for g in c["gowers"]),

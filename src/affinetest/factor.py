@@ -14,7 +14,8 @@ The cells of B = (P_1, ..., P_C) are the canonical indices of F_p^C
 enumerates domain and cells, is charged max(p^n, p^C) against its budget.
 Arrays with one entry per cell (conditional expectations, representation
 and subcell counts) take their length from `dense_cell_count`, which bounds
-them by max(p^n, ENUM_BUDGET) cells.
+them by max(p^n, ENUM_BUDGET) cells, and per-cell label counts by one such
+array per label that can occur.
 """
 from __future__ import annotations
 
@@ -116,26 +117,40 @@ def cell_space(factor: PolynomialFactor, params: FieldParams | None = None) -> F
         ) from None
 
 
-def dense_cell_count(factor: PolynomialFactor, params: FieldParams | None = None) -> int:
+def dense_cell_count(
+    factor: PolynomialFactor, params: FieldParams | None = None, labels: int = 1
+) -> int:
     """p^C, the length of an array with one entry per cell of the factor;
     past max(p^n, ENUM_BUDGET) cells it raises BudgetError instead, before
-    anything of that length is allocated."""
+    anything of that length is allocated.  With R = `labels`, the R * p^C
+    per-cell label counts are charged too: one such array per label that
+    can occur, so past min(R, p^n) of them (a declared range wider than the
+    domain) it raises BudgetError as well."""
     space = cell_space(factor, params)
-    bound = max(factor.params(params).size, ENUM_BUDGET)
+    size = factor.params(params).size
+    bound = max(size, ENUM_BUDGET)
     if space.size > bound:
         raise BudgetError(
             f"per-cell array of p^C = {space.p}^{space.n} cells exceeds max(p^n, budget) = {bound}"
+        )
+    if labels * space.size > min(labels, size) * bound:
+        raise BudgetError(
+            f"per-cell label counts R * p^C = {labels} * {space.p}^{space.n} exceed"
+            f" min(R, p^n) * max(p^n, budget) = {min(labels, size) * bound}"
         )
     return space.size
 
 
 @lru_cache(maxsize=1024)
 def _cell_index_array(factor: PolynomialFactor, params: FieldParams) -> np.ndarray:
-    """Flat little-endian cell index of every domain point."""
+    """Flat little-endian cell index of every domain point, by Horner's rule
+    in int64: the value tables are narrow (`residue_dtype`), and a product
+    of one with p^i in its own dtype would wrap."""
     cell_space(factor, params)  # the indices must fit the index type
     idx = np.zeros(params.size, dtype=np.int64)
-    for i, q in enumerate(factor.polys):
-        idx += q.values() * q.p**i
+    for q in reversed(factor.polys):
+        idx *= params.p
+        idx += q.values()
     idx.setflags(write=False)
     return idx
 
@@ -343,7 +358,7 @@ def represents(
     r = f.range_size
     n_coarse = dense_cell_count(coarse, f.params)
     counts_f, freq_f = label_frequencies(
-        cell_index_array(fine, f.params), f.values, r, dense_cell_count(fine, f.params)
+        cell_index_array(fine, f.params), f.values, r, dense_cell_count(fine, f.params, r)
     )
     # [label, subcell id s, coarse cell]: a fine cell index is s * n_coarse + coarse cell
     cnt = counts_f.reshape(-1, n_coarse)

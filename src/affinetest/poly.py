@@ -103,7 +103,10 @@ class Polynomial:
         return total % self.p
 
     def values(self) -> np.ndarray:
-        """Values on the whole domain in canonical order (read-only array)."""
+        """Values on the whole domain in canonical order, as a read-only
+        array of the narrowest dtype that holds p - 1 (`residue_dtype`).
+        Arithmetic on it stays in that dtype, so a caller that scales or sums
+        the values widens them first."""
         return _poly_values(self)
 
     def __str__(self) -> str:
@@ -115,13 +118,27 @@ class Polynomial:
         return " + ".join(mono(e, c) for e, c in self.terms) if self.terms else "0"
 
 
+def _narrowest(bound: int, dtypes):
+    """The first of `dtypes` whose maximum is at least bound (object when
+    none is)."""
+    return next((d for d in dtypes if bound <= np.iinfo(d).max), object)
+
+
+def residue_dtype(p: int):
+    """The dtype of polynomial value tables over F_p: uint8 for p < 2^8,
+    uint16 for p < 2^16, uint32 for p < 2^32 and int64 above, the narrowest
+    that holds every residue (and, p being prime, p itself)."""
+    return _narrowest(p - 1, (np.uint8, np.uint16, np.uint32, np.int64))
+
+
 @lru_cache(maxsize=4096)
 def _poly_values(poly: Polynomial) -> np.ndarray:
-    """Values on F_p^n in canonical order, as a read-only int64 array: the
-    one tensor transform of all the terms (`_transform_values`), broadcast
-    over the coordinates no term depends on."""
+    """Values on F_p^n in canonical order, as a read-only array of
+    `residue_dtype(p)`: the one tensor transform of all the terms
+    (`_transform_values`), broadcast over the coordinates no term depends
+    on."""
     part = _transform_values(poly.terms, poly.p)
-    out = np.empty(poly.p**poly.n, dtype=np.int64)
+    out = np.empty(poly.p**poly.n, dtype=residue_dtype(poly.p))
     out.reshape((-1,) + (poly.p,) * part.ndim)[...] = part
     out.setflags(write=False)
     return out
@@ -157,10 +174,7 @@ def _transform_values(terms, p: int) -> np.ndarray:
     k = len(used)
     exps = [tuple(sorted(set(cols[t]))) for t in used]
     bound = max(map(len, exps), default=1) * (p - 1) ** 2
-    dtype = next(
-        (d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(d).max),
-        object,
-    )
+    dtype = _narrowest(bound, (np.uint8, np.uint16, np.uint32, np.uint64))
     place = [0] * len(cols)
     for j, t in enumerate(used):
         place[t] = p**j

@@ -239,21 +239,30 @@ def test_factor_stats_budget_counts_cells(tmp_path, capsys):
     ("gowers", "Monte-Carlo U^40 is charged 3435973836800000 > budget 16777216"),
     ("decompose", "per-cell array of p^C = 3^30 cells exceeds max(p^n, budget) = 16777216"),
     ("cleanup", "per-cell array of p^C = 3^30 cells exceeds max(p^n, budget) = 16777216"),
+    ("cleanup-range", "per-cell label counts R * p^C = 1099511627776 * 2^1 exceed"
+                      " min(R, p^n) * max(p^n, budget) = 268435456"),
 ])
 def test_unbounded_arrays_are_budget_errors(tmp_path, capsys, command, message):
     # each once died allocating TiB to PiB (exit 1); now nothing of that
-    # size is allocated: U^40 by sampling, and 30 copies of x_1 over F_3^4,
-    # whose 3^30 cells dwarf the 81-point domain
+    # size is allocated: U^40 by sampling, 30 copies of x_1 over F_3^4,
+    # whose 3^30 cells dwarf the 81-point domain, and a 16-point table that
+    # declares R = 2^40 labels (it holds two), counted per cell of x_1
     g, f3, wide = tmp_path / "g.tab", tmp_path / "f3.tab", tmp_path / "wide.fac"
+    r40, x1 = tmp_path / "r40.tab", tmp_path / "x1.fac"
     assert main(["fixture", "random_function", "--n", "4", "--out", str(g)]) == 0
     assert main(["fixture", "random_function", "--p", "3", "--n", "4", "--out", str(f3)]) == 0
     wide.write_text("3 4 30\n" + "1 1 1 0 0 0\n" * 30)
+    r40.write_text(f"2 4 {2**40}\n" + " ".join("12" * 8) + "\n")
+    x1.write_text("2 4 1\n1 1 1 0 0 0\n")
     argv = {
         "gowers": ["gowers", "--function", str(g), "-k", "40", "--mode", "monte_carlo"],
         "decompose": ["decompose", "--function", str(f3), "--degree", "1", "--base", str(wide),
                       "--out", str(tmp_path / "dec")],
         "cleanup": ["cleanup", "--function", str(f3), "--coarse", str(wide), "--fine", str(wide),
                     "--subcell", "", "--zeta", "0.1", "--out", str(tmp_path / "clean.tab")],
+        "cleanup-range": ["cleanup", "--function", str(r40), "--coarse", str(x1), "--fine",
+                          str(x1), "--subcell", "", "--zeta", "0.1",
+                          "--out", str(tmp_path / "clean.tab")],
     }[command]
     capsys.readouterr()
     assert main(argv) == 2

@@ -433,6 +433,38 @@ def test_cleanup_minority_relabeled():
     assert distance(f, out) == 3 / 32
 
 
+@pytest.mark.parametrize("r, c, fits", [(16, 4, True), (17, 3, True), (17, 4, False)])
+def test_label_counts_are_charged_per_label_that_can_occur(monkeypatch, r, c, fits):
+    # p^n = 16 points hold at most 16 distinct labels; with the budget at 16,
+    # R * 2^C counts fit while they are at most min(R, 16) * 16
+    params = FieldParams(2, 4)
+    x1, x2 = coord(2, 4, 1).values(), coord(2, 4, 2).values()
+    f = FunctionTable(params, r, 1 + x1 + 2 * x2)
+    # represents counts the labels per cell of its fine factor, the subcell
+    # steps per cell of the coarse one: both have 2^C cells here
+    coarse = PolynomialFactor(tuple(coord(2, 4, i) for i in range(1, c + 1)))
+    fine = coarse.extend(Polynomial.zero(2, 4))
+    res = replace(
+        super_decompose(f, DecompositionConfig(degree=1, delta=0.3, zeta=0.25)),
+        factor_coarse=coarse, factor_fine=fine,
+    )
+    monkeypatch.setattr(factor_module, "ENUM_BUDGET", 16)
+    calls = (
+        lambda: represents(f, coarse, PolynomialFactor(coarse.polys[:1]), 0.5),
+        lambda: subcell_conditions(f, res, (0,), 0.3, 0.25),
+        lambda: cleanup(f, coarse, fine, (0,), 0.25),
+    )
+    if fits:
+        rep, conditions, cleaned = (call() for call in calls)
+        assert rep and conditions == (True, True) and cleaned.values.tolist() == f.values.tolist()
+        return
+    message = (rf"^per-cell label counts R \* p\^C = 17 \* 2\^4 exceed"
+               rf" min\(R, p\^n\) \* max\(p\^n, budget\) = 256$")
+    for call in calls:
+        with pytest.raises(BudgetError, match=message):
+            call()
+
+
 def test_cleanup_two_cell_instance():
     # hand-built 16-point instance: cell x1=0 violates the frequency gap,
     # cell x1=1 is clean and untouched
@@ -508,6 +540,20 @@ def test_result_save_load_round_trip(tmp_path):
         for name in ("f1", "f2", "f3"):
             for a, b in zip(getattr(res, name), getattr(back, name), strict=True):
                 assert np.array_equal(a.values, b.values)
+
+
+def test_load_result_resolves_each_record_class_once(tmp_path):
+    # Certificates, GowersResult and BiasCertificate: at most one type-hint
+    # resolution each, however many loads and gowers certificates there are
+    f = fixtures.layered_table(2, 5, 2, deep_cells=3, quarter=True)
+    res = super_decompose(f, DecompositionConfig(degree=1, delta=0.25, eta=0.08, zeta=0.3))
+    assert len(res.certificates.gowers) >= 2
+    save_result(res, tmp_path, f.params)
+    with mock.patch.object(decompose, "get_type_hints", wraps=decompose.get_type_hints) as hints:
+        decompose._field_types.cache_clear()
+        first, second = load_result(tmp_path), load_result(tmp_path)
+    assert first.certificates == second.certificates == res.certificates
+    assert hints.call_count == 3
 
 
 def test_trace_records_steps():

@@ -160,9 +160,16 @@ def reference_poly_values(poly):
     return acc
 
 
+def value_dtype(p):
+    """The dtype of value tables over F_p: the narrowest that holds p - 1."""
+    return np.dtype(
+        np.uint8 if p < 2**8 else np.uint16 if p < 2**16 else np.uint32 if p < 2**32 else np.int64
+    )
+
+
 def assert_values_match_reference(poly):
     got, want = poly.values(), reference_poly_values(poly)
-    assert got.dtype == want.dtype == np.int64
+    assert got.dtype == value_dtype(poly.p) and want.dtype == np.int64
     assert got.shape == want.shape == (poly.p**poly.n,)
     assert not got.flags.writeable
     assert np.array_equal(got, want)
@@ -231,7 +238,7 @@ def test_values_in_the_uint64_transform_dtype():
     poly = Polynomial.from_monomials(p, 1, {(2,): 5, (1,): 7, (0,): 3})
     assert _transform_values(poly.terms, p).dtype == np.uint64
     vals = poly.values()
-    assert vals.dtype == np.int64 and vals.shape == (p,) and not vals.flags.writeable
+    assert vals.dtype == np.uint32 and vals.shape == (p,) and not vals.flags.writeable
     for x in [0, 1, 2, p - 1] + np.random.default_rng(0).integers(0, p, 20).tolist():
         assert vals[x] == poly.eval_point((x,))
 
@@ -277,6 +284,49 @@ def polynomials_and_points(draw):
 def test_values_agree_with_pointwise_evaluation(case):
     poly, x = case
     assert poly.values()[canonical_index(x, poly.params)] == poly.eval_point(x)
+
+
+@st.composite
+def polynomials_at_residue_widths(draw):
+    # primes on both sides of 2^8 and past 2^16; zero and constant
+    # polynomials drawn on purpose, every exponent in [0, p - 1] possible
+    p = draw(st.sampled_from([2, 3, 5, 7, 251, 257, 65537]))
+    n = draw(st.integers(0, {2: 9, 3: 6, 5: 4, 7: 3, 251: 2, 257: 2, 65537: 1}[p]))
+    point = st.tuples(*[st.integers(0, p - 1) for _ in range(n)])
+    kind = draw(st.sampled_from(["zero", "constant", "any"]))
+    if kind == "zero":
+        monos = {}
+    elif kind == "constant":
+        monos = {(0,) * n: draw(st.integers(1, p - 1))}
+    else:
+        monos = draw(st.dictionaries(point, st.integers(0, p - 1), max_size=6))
+    points = draw(st.lists(point, min_size=1, max_size=8))
+    return Polynomial.from_monomials(p, n, monos), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_at_residue_widths())
+def test_values_are_read_only_residues_of_the_narrowest_dtype(case):
+    poly, points = case
+    params = poly.params
+    event(f"p = {poly.p}")
+    vals = poly.values()
+    assert vals.dtype == value_dtype(poly.p) and vals.shape == (params.size,)
+    assert not vals.flags.writeable and poly.values() is vals
+    for x in points:
+        assert int(vals[canonical_index(x, params)]) == poly.eval_point(x)
+    if params.size <= 4096:
+        want = [poly.eval_point(index_to_vec(i, params)) for i in range(params.size)]
+        assert np.array_equal(vals, np.array(want, dtype=np.int64))
+
+
+def test_values_past_2_32_are_int64():
+    # p^0 = 1 point: the one domain on which a value table over such a field fits
+    p = 2**32 + 15
+    assert is_prime(p)
+    for poly in (Polynomial.zero(p, 0), Polynomial.from_monomials(p, 0, {(): p - 1})):
+        vals = poly.values()
+        assert vals.dtype == np.int64 and vals.tolist() == [poly.eval_point(())]
 
 
 def test_cell_histogram_examples():
@@ -327,6 +377,17 @@ def test_cell_index_array_is_the_digit_sum(p, n, c, seed):
     params = FieldParams(p, n)
     factor = fixtures.random_factor(p, n, c, 2, seed=seed)
     assert cell_index_array(factor, params).tolist() == python_cell_indices(factor, params)
+
+
+def test_cell_index_array_accumulates_uint8_values_in_int64():
+    # the values are uint8 at p = 3, where 2 * 3^5 = 486 would wrap to 230
+    params = FieldParams(3, 4)
+    factor = fixtures.random_factor(3, 4, 7, 2, seed=8)
+    assert {q.values().dtype for q in factor.polys} == {np.dtype(np.uint8)}
+    want = sum(q.values().astype(np.int64) * 3**i for i, q in enumerate(factor.polys))
+    assert want.max() > 2 * 3**5
+    got = cell_index_array(factor, params)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_cell_index_array_rejects_more_than_2_62_cells():
