@@ -389,7 +389,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--zeta", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-attempts", type=int, default=32)
+    sp.add_argument("--max-attempts", type=_positive_int, default=32)
 
     sp = add("cleanup", cmd_cleanup, help="three-step relabeling toward chosen subcells")
     sp.add_argument("--function", required=True)

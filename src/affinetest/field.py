@@ -218,6 +218,11 @@ class FunctionTable:
         return RealTable(self.params, (self.values == label).astype(np.float64))
 
     def slices(self) -> tuple["RealTable", ...]:
+        """The R indicator slices, or BudgetError before any is built when R
+        exceeds max(p^n, ENUM_BUDGET) (a range wider than the domain)."""
+        bound = max(self.params.size, ENUM_BUDGET)
+        if self.range_size > bound:
+            raise BudgetError(f"R = {self.range_size} slices exceed max(p^n, budget) = {bound}")
         return tuple(self.indicator_slice(i) for i in range(1, self.range_size + 1))
 
     def with_values(self, values) -> "FunctionTable":

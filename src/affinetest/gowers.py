@@ -162,17 +162,20 @@ def _gowers_monte_carlo(
     per = [samples // MC_STREAMS] * MC_STREAMS
     for i in range(samples % MC_STREAMS):
         per[i] += 1
-    chunks = []
+    sample_vals = np.empty(samples, dtype=values.dtype)
+    start = 0
     for worker, count in enumerate(per):
         if count == 0:
             continue
         draws = rng_for(seed, worker).integers(0, params.size, size=(k + 1, count), dtype=np.int64)
         terms = values[combination_indices(draws.T, combos, params)]
+        # out of place: numpy's in-place complex product of one-entry arrays
+        # rounds differently
         prod = np.ones(count, dtype=values.dtype)
         for mask, conj in enumerate(conjugate):
             prod = prod * (np.conj(terms[:, mask]) if conj else terms[:, mask])
-        chunks.append(prod)
-    sample_vals = np.concatenate(chunks)
+        sample_vals[start : start + count] = prod
+        start += count
     if np.iscomplexobj(sample_vals):
         sample_vals = sample_vals.real
     mean = float(sample_vals.mean())

@@ -3,16 +3,17 @@ properties, big-picture machinery, and the one-sided affine-subspace tester.
 
 The tester samples points, restricts the function to their affine span, and
 searches the restriction exhaustively.  Trial t's points are exactly
-default_rng(SeedSequence((seed, t))).integers(0, p^n, l), computed for many
-trials at once by array arithmetic that emulates numpy's generators.  It
-runs its trials in blocks: one span-index gather restricts f for every trial
-of a block, and for each distinct constraint every form's labels are
-gathered once per block through its grid_point_indices view, over only the
-grid axes the form reads, and folded by a per-form lookup table into the
-position of the first member whose sigma each tuple matches.  Every rejected
-trial's witness is lifted back to domain points and re-checked against f,
-all of a block's at once, so a function that is actually free can never be
-rejected.
+default_rng(SeedSequence((seed, t))).integers(0, p^n, l).  It runs its
+trials in blocks of at most DRAW_SLICE trials and about forms.GRID_CHUNK
+tuples: one draw call computes a block's points by array arithmetic that
+emulates numpy's generators, one span-index gather restricts f for every
+trial of the block, and for each distinct constraint every form's labels
+are gathered once per block through its grid_point_indices view, over only
+the grid axes the form reads, and folded by a per-form lookup table into
+the position of the first member whose sigma each tuple matches.  Every
+rejected trial's witness is lifted back to domain points and re-checked
+against f, all of a block's at once, so a function that is actually free
+can never be rejected.
 The exact distance to degree-<=d tables reads the inverse search's rows of
 degree >= 2 parts: p Fourier transforms per row score every affine shift
 at once, with no table per polynomial.
@@ -60,7 +61,7 @@ from . import forms, gflinalg, gowers
 
 DEFAULT_NODE_BUDGET = 1 << 20
 SEARCH_BLOCK = 1 << 10  # tuples drawn and checked at once by the randomized search
-DRAW_SLICE = 1 << 12  # tester trials whose sample points are drawn at once
+DRAW_SLICE = 1 << 12  # most tester trials drawn and scanned in one block
 
 # numpy's SeedSequence (4-word pool) and PCG64 (XSL-RR 128/64) constants
 _M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
@@ -245,18 +246,17 @@ class _GridCheck:
             state = lut[state]
         return state.reshape(len(values), -1)
 
-    def lift(self, samples: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    def witnesses(self, f: FunctionTable, samples, flats, positions) -> np.ndarray:
         """Domain points (k, l_a, n) of the grid tuples `flats` found in the
-        restrictions of `samples` (k, l, n)."""
-        return _lift(samples, grid_tuples(flats, self.constraint.ell, self.sub), self.sub.p)
-
-    def verify(self, f: FunctionTable, lifted: np.ndarray, positions: np.ndarray) -> None:
-        """Raise unless f(a_j(y)) = sigma_j for every lifted tuple y and form
-        a_j, with sigma that of the member at the matching position."""
+        restrictions of `samples` (k, l, n); raise unless f(a_j(y)) = sigma_j
+        for every lifted tuple y and form a_j, with sigma that of the member
+        at the matching position."""
+        lifted = _lift(samples, grid_tuples(flats, self.constraint.ell, self.sub), self.sub.p)
         coeffs = [form.coeffs for form in self.constraint.forms]
         idx = combination_indices(canonical_indices(lifted, f.params), coeffs, f.params)
         if not np.array_equal(f.values[idx], self.sigmas[positions]):
             raise ValueError("claimed witness does not evaluate to sigma")
+        return lifted
 
 
 def _hash_constants(init: int, mult: int, count: int):
@@ -365,16 +365,6 @@ def _trial_draws(seed: int, start: int, stop: int, size: int, ell: int) -> np.nd
     return draws
 
 
-def _blocks_of_draws(seed: int, trials: int, block: int, size: int, ell: int):
-    """Yield the sample draws of trials 0, ..., trials - 1, at most `block`
-    rows at a time; they are computed DRAW_SLICE trials at a time, whatever
-    the block, so one-trial blocks do not pay _trial_draws' fixed cost each."""
-    for lo in range(0, trials, DRAW_SLICE):
-        drawn = _trial_draws(seed, lo, min(trials, lo + DRAW_SLICE), size, ell)
-        for start in range(0, len(drawn), block):
-            yield drawn[start : start + block]
-
-
 def affine_subspace_test(
     f: FunctionTable,
     collection: ConstraintCollection,
@@ -387,21 +377,22 @@ def affine_subspace_test(
     the restrictions exhaustively for induced constraints.
 
     Trial t's l sample points are exactly
-    default_rng(SeedSequence((seed, t))).integers(0, p^n, l), computed
-    DRAW_SLICE trials at a time (seed must be nonnegative), so a report does
-    not depend on how trials are grouped.  Trials run in blocks of about
-    forms.GRID_CHUNK tuples: the block's restrictions come from one
-    affine_span_indices call, each form of each distinct constraint is
-    gathered once through its grid view, and a trial rejects when some
-    tuple matches a member's sigma.  Its witness is the first matching
-    member in collection order and that member's first tuple in scan order.
+    default_rng(SeedSequence((seed, t))).integers(0, p^n, l) (seed must be
+    nonnegative), so a report does not depend on how trials are grouped.
+    Trials run in order, in blocks of at most DRAW_SLICE trials and about
+    forms.GRID_CHUNK tuples: the block's points come from one _trial_draws
+    call and its restrictions from one affine_span_indices call, each form
+    of each distinct constraint is gathered once through its grid view, and
+    a trial rejects when some tuple matches a member's sigma.  Its witness
+    is the first matching member in collection order and that member's
+    first tuple in scan order.
 
     Rejections always carry a Witness verified against f itself: every
     rejected trial's witness is lifted to domain points and checked against
     f's table (ValueError if the lift is unsound), and the reported witness,
-    that of the first rejected trial, goes through make_witness.  Restriction
-    checks whose tuple grids exceed the budget make the trial inconclusive;
-    such trials are counted and reported, never treated as accepts silently.
+    that of the first rejected trial, goes through make_witness.  A check
+    whose tuple grid exceeds the budget makes each trial that does not
+    reject inconclusive; such trials are counted, never silent accepts.
     When no check fits the budget, nothing is drawn or restricted and every
     trial is inconclusive.
     """
@@ -432,12 +423,12 @@ def affine_subspace_test(
     over_budget = any(c.views is None for c in checks)
     checks = [c for c in checks if c.views is not None and c.luts]
     widest = max((sub.size**c.constraint.ell for c in checks), default=1)
-    block = max(1, forms.GRID_CHUNK // widest)
+    block = max(1, min(DRAW_SLICE, forms.GRID_CHUNK // widest))
     rejections = 0
-    # with no check left no trial can reject, so nothing is drawn
-    inconclusive = trials if over_budget and not checks else 0
     first_witness: Witness | None = None
-    for draws in _blocks_of_draws(seed, trials if checks else 0, block, params.size, ell):
+    # with no check left no trial can reject, so nothing is drawn
+    for lo in range(0, trials if checks else 0, block):
+        draws = _trial_draws(seed, lo, min(trials, lo + block), params.size, ell)
         values = f.values[affine_span_indices(draws, params)]
         # per trial: first matching member, its first tuple and its check
         member = np.full(len(draws), none)
@@ -445,23 +436,21 @@ def affine_subspace_test(
         owner = np.zeros(len(draws), dtype=np.int64)
         for ci, c in enumerate(checks):
             found = c.first_members(values)
-            best = found.min(axis=1)
+            first = found.argmin(axis=1)  # the least member's first tuple
+            best = np.take_along_axis(found, first[:, None], axis=1)[:, 0]
             better = best < member
             member[better] = best[better]
-            flat[better] = (found[better] == best[better, None]).argmax(axis=1)
+            flat[better] = first[better]
             owner[better] = ci
         hits = np.flatnonzero(member < none)
         for ci, c in enumerate(checks):
             sel = hits[owner[hits] == ci]
-            if not sel.size:
-                continue
-            lifted = c.lift(index_digits(draws[sel], params), flat[sel])
-            c.verify(f, lifted, member[sel])
-            if first_witness is None and sel[0] == hits[0]:
-                first_witness = make_witness(f, members[member[sel[0]]], lifted[0].tolist())
+            if sel.size:
+                lifted = c.witnesses(f, index_digits(draws[sel], params), flat[sel], member[sel])
+                if first_witness is None and sel[0] == hits[0]:
+                    first_witness = make_witness(f, members[member[sel[0]]], lifted[0].tolist())
         rejections += hits.size
-        if over_budget:
-            inconclusive += len(draws) - hits.size
+    inconclusive = trials - rejections if over_budget else 0
     rate = rejections / trials if trials else 0.0
     stderr = math.sqrt(rate * (1 - rate) / trials) if trials else 0.0
     verdict = "reject" if rejections else "accept"

@@ -241,12 +241,14 @@ def test_factor_stats_budget_counts_cells(tmp_path, capsys):
     ("cleanup", "per-cell array of p^C = 3^30 cells exceeds max(p^n, budget) = 16777216"),
     ("cleanup-range", "per-cell label counts R * p^C = 1099511627776 * 2^1 exceed"
                       " min(R, p^n) * max(p^n, budget) = 268435456"),
+    ("decompose-range", "R = 1099511627776 slices exceed max(p^n, budget) = 16777216"),
 ])
 def test_unbounded_arrays_are_budget_errors(tmp_path, capsys, command, message):
     # each once died allocating TiB to PiB (exit 1); now nothing of that
     # size is allocated: U^40 by sampling, 30 copies of x_1 over F_3^4,
     # whose 3^30 cells dwarf the 81-point domain, and a 16-point table that
-    # declares R = 2^40 labels (it holds two), counted per cell of x_1
+    # declares R = 2^40 labels (it holds two), counted per cell of x_1 or
+    # as one indicator slice per label (decompose once ran without end)
     g, f3, wide = tmp_path / "g.tab", tmp_path / "f3.tab", tmp_path / "wide.fac"
     r40, x1 = tmp_path / "r40.tab", tmp_path / "x1.fac"
     assert main(["fixture", "random_function", "--n", "4", "--out", str(g)]) == 0
@@ -263,6 +265,8 @@ def test_unbounded_arrays_are_budget_errors(tmp_path, capsys, command, message):
         "cleanup-range": ["cleanup", "--function", str(r40), "--coarse", str(x1), "--fine",
                           str(x1), "--subcell", "", "--zeta", "0.1",
                           "--out", str(tmp_path / "clean.tab")],
+        "decompose-range": ["decompose", "--function", str(r40), "--degree", "1",
+                            "--out", str(tmp_path / "dec40")],
     }[command]
     capsys.readouterr()
     assert main(argv) == 2
@@ -640,6 +644,19 @@ def test_select_subcell_exits_2_when_no_subcell_passes(pinned_inputs, capsys):
                  "0.0001", "--zeta", "0.001", "--max-attempts", "2", "--json", "sel.json"]) == 2
     assert "selection failed: no subcell accepted in 2 attempts" in capsys.readouterr().out
     assert json.loads((pinned_inputs / "sel.json").read_text())["accepted"] is False
+
+
+@pytest.mark.parametrize("attempts", ["0", "-1"])
+def test_select_subcell_rejects_fewer_than_one_attempt(pinned_inputs, capsys, attempts):
+    # both once exited 2, "no subcell accepted in -1 attempts", blaming the
+    # certificates
+    assert main(PINNED["decompose_super.json"][0]) == 0
+    capsys.readouterr()
+    assert main(["select-subcell", "--function", "layer5.tab", "--result", "dec", "--delta",
+                 "0.25", "--zeta", "0.15", "--max-attempts", attempts, "--json", "sel.json"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and f"must be at least 1, got {attempts}" in err
+    assert "Traceback" not in err and not Path("sel.json").exists()
 
 
 def test_strong_decompose_command_extends_its_base(pinned_inputs, capsys):

@@ -15,6 +15,7 @@ from affinetest import (
     restrict_to_affine_span,
 )
 from affinetest.field import (
+    BudgetError,
     affine_span_indices,
     canonical_indices,
     combination_indices,
@@ -28,7 +29,7 @@ from affinetest.field import (
     rng_for,
     RealTable,
 )
-from affinetest import fixtures
+from affinetest import field, fixtures
 from reference import domain_coords
 
 
@@ -254,6 +255,19 @@ def test_table_validation():
         FunctionTable(params, 2, [1, 2, 1])  # wrong length
     with pytest.raises(ValueError):
         RealTable(params, [1.0, float("inf"), 0.0, 0.0])
+
+
+def test_slices_past_the_budget_are_budget_errors(monkeypatch):
+    # R = 2^40 declared labels on 16 points once built slices without end;
+    # up to max(p^n, budget) labels every slice is built
+    f = FunctionTable(FieldParams(2, 4), 2**40, [1, 2] * 8)
+    with pytest.raises(BudgetError, match="R = 1099511627776 slices exceed"):
+        f.slices()
+    monkeypatch.setattr(field, "ENUM_BUDGET", 4)
+    wide = FunctionTable(FieldParams(2, 4), 16, list(range(1, 17)))
+    assert [s.values.tolist().index(1.0) for s in wide.slices()] == list(range(16))
+    with pytest.raises(BudgetError, match="max\\(p\\^n, budget\\) = 16"):
+        FunctionTable(FieldParams(2, 4), 17, wide.values).slices()
 
 
 def test_tables_are_immutable():

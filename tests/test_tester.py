@@ -539,6 +539,7 @@ def test_reports_across_a_draw_slice_boundary(monkeypatch):
     f = fixtures.random_function(2, 4, 2, seed=3)
     family = fixtures.derivative_collection(2)
     trials = tester.DRAW_SLICE + 3
+    default_chunk, default_slice = forms.GRID_CHUNK, tester.DRAW_SLICE
     reports = []
     for chunk in (forms.GRID_CHUNK, 1):
         monkeypatch.setattr(forms, "GRID_CHUNK", chunk)
@@ -550,6 +551,20 @@ def test_reports_across_a_draw_slice_boundary(monkeypatch):
         monkeypatch.setattr(forms, "GRID_CHUNK", chunk)
         got = affine_subspace_test(f, family, trials=23, seed=4)
         assert got.as_dict() == reference_subspace_test(f, family, trials=23, seed=4).as_dict()
+    # at l = 4 a budget of 1000 keeps the derivative grids (512 tuples) and
+    # cuts a 4-variable one (4096): every trial that does not reject is
+    # inconclusive, at blocks of 1, 5 and DRAW_SLICE trials
+    rows = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]
+    wide = InducedConstraint(AffineConstraint.from_rows(2, rows), (1, 1, 1, 2))
+    mixed = ConstraintCollection(family.members + (wide,))
+    want = reference_subspace_test(f, mixed, 4, trials=23, seed=1, budget=1000)
+    assert 0 < want.rejections < 23
+    monkeypatch.setattr(forms, "GRID_CHUNK", default_chunk)
+    for draw_slice in (1, 5, default_slice):
+        monkeypatch.setattr(tester, "DRAW_SLICE", draw_slice)
+        got = affine_subspace_test(f, mixed, 4, trials=23, seed=1, budget=1000)
+        assert got.inconclusive_trials == got.trials - got.rejections
+        assert got.as_dict() == want.as_dict()
 
 
 def test_no_grid_in_budget_draws_nothing(monkeypatch):
